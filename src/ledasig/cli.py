@@ -15,7 +15,7 @@ import time
 
 from . import codec
 from .drbg import fresh_xof
-from .errors import FormatError, IntegrityError, LedasigError
+from .errors import FormatError, LedasigError
 from .estimator import full_report, render_table
 from .keygen import keypair_from_seed
 from .params import INSTANCES, SysParams, get_instance
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, IntegrityError) as exc:
+    except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except FileNotFoundError as exc:

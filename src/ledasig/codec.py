@@ -25,7 +25,7 @@ import os
 import struct
 import tempfile
 
-from .errors import FormatError, IntegrityError
+from .errors import FormatError, IntegrityError, Singular
 from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
                      build_public_key, compute_d, private_key_from_seed)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
@@ -279,7 +279,11 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
         raise FormatError("invalid permutation")
     if any(x >= p for x in lam + phi + psi):
         raise FormatError("rotation exponent out of range")
-    q = QFactors(perm, psi, a, b, dense_invert(compute_d(prm, perm, a, b)))
+    try:
+        d_inv = dense_invert(compute_d(prm, perm, a, b))
+    except Singular:
+        raise FormatError("A and B give a singular D") from None
+    q = QFactors(perm, psi, a, b, d_inv)
     return PrivateKey(params=prm, seed=seed, v=v, s=s, q=q)
 
 

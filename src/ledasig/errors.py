@@ -21,8 +21,11 @@ class FormatError(LedasigError):
     """Serialized object is malformed or truncated."""
 
 
-class IntegrityError(LedasigError):
-    """Stored key material does not match its seed expansion."""
+class IntegrityError(FormatError):
+    """Stored key material does not match its seed expansion.
+
+    A FormatError, so every decoder fails with FormatError alone.
+    """
 
 
 class RetryExhausted(LedasigError):

@@ -8,6 +8,10 @@ M a generalized permutation and R = (A . B^T) x 1_{pxp} of rank at most z;
 Q^-1 = M^T + (Pi^T A D^-1 B^T Pi^T) x 1_{pxp} via the Woodbury identity,
 where D = I_z + B^T Pi^T A for odd p and D = I_z for even p.
 
+Signing applies S to sparse supports (apply_s).  The public key needs S^-1
+only through S^-T = PiLambda . (E^-T x I_p) . PiPhi, which has the shape
+of S, so build_public_key runs the same chain with E^-T in place of E.
+
 Everything is derived deterministically from a seed: the sampler call
 order below is fixed and replaying a seed reproduces the key bit for bit.
 """
@@ -25,7 +29,7 @@ from .packed import PackedQc
 from .params import SysParams
 from .qc import (DenseBitMatrix, GenPermutation, QcMatrix, dense_invert,
                  genperm_from_left, genperm_from_right, inverse_int,
-                 mask_of, rotl_int)
+                 invert_perm, transpose_int)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def compute_d(params: SysParams, perm, a: DenseBitMatrix,
     z = params.z
     if params.p % 2 == 0:
         return DenseBitMatrix.identity(z)
-    inv_perm = _invert_perm(perm)
+    inv_perm = invert_perm(perm)
     d_rows = []
     for i in range(z):
         row = 0
@@ -178,72 +182,38 @@ def gen_q(params: SysParams, xof: Xof) -> QFactors:
         return QFactors(perm, psi, a, b, d_inv)
 
 
-def _invert_perm(perm) -> list[int]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
-
-
 # ---------------------------------------------------------------------------
-# application procedures for S, S^-1, M and Q^-1 on sparse supports
+# the scrambler chain PiLambda . (C(e) x I_p) . PiPhi on sparse supports
 
 
-def _kron_blockmix_apply(poly: int, n0: int, p: int, pos: np.ndarray) -> np.ndarray:
-    """Support of (C(poly) x I_p) . x for x given by support `pos`.
+def _support(poly: int, n: int) -> np.ndarray:
+    return np.array([d for d in range(n) if (poly >> d) & 1], dtype=np.int64)
 
-    C(poly) is the n0 x n0 circulant of `poly`; output block i collects
-    input blocks (i + d) % n0 over the support d of poly.
+
+def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
+    """Bits of PiLambda . (C(e_poly) x I_p) . PiPhi . x^T, x given by support.
+
+    C(e_poly) is the n0 x n0 circulant of e_poly: output block b - d
+    collects input block b for every d in the support of e_poly.  Positions
+    keep their order and repeats until one parity count at the end.
     """
-    offs = np.array([d for d in range(n0) if (poly >> d) & 1], dtype=np.int64)
-    blk, o = pos // p, pos % p
-    out_blk = (blk[:, None] - offs[None, :]) % n0
-    flat = (out_blk * p + o[:, None]).ravel()
-    counts = np.zeros(n0 * p, dtype=np.int32)
-    np.add.at(counts, flat, 1)
-    return np.flatnonzero(counts & 1).astype(np.int64)
-
-
-def _genperm_apply_np(perm: GenPermutation, pos: np.ndarray,
-                      transpose: bool = False) -> np.ndarray:
-    p = perm.p
-    bp = np.array(perm.block_perm, dtype=np.int64)
-    rot = np.array(perm.rotations, dtype=np.int64)
-    blk, o = pos // p, pos % p
-    if not transpose:
-        out = bp[blk] * p + (o + rot[blk]) % p
-    else:
-        inv = np.empty_like(bp)
-        inv[bp] = np.arange(len(bp), dtype=np.int64)
-        src = inv[blk]
-        out = src * p + (o - rot[src]) % p
-    return np.sort(out)
+    prm = sk.params
+    p, n0 = prm.p, prm.n0
+    blk, o = np.divmod(sk.pi_phi.apply(pos), p)
+    mixed = ((blk[:, None] - _support(e_poly, n0)) % n0) * p + o[:, None]
+    out = sk.pi_lambda.apply(mixed.ravel())
+    return (np.bincount(out, minlength=prm.n) & 1).astype(bool)
 
 
 def apply_s(sk: PrivateKey, pos: np.ndarray) -> np.ndarray:
     """Support of S . x^T (column action) for x given by support."""
-    prm = sk.params
-    pos = _genperm_apply_np(sk.pi_phi, pos)
-    pos = _kron_blockmix_apply(sk.s.e_poly, prm.n0, prm.p, pos)
-    return _genperm_apply_np(sk.pi_lambda, pos)
-
-
-def invert_s(sk: PrivateKey):
-    """Application procedure for S^-1 (column action on supports)."""
-    prm = sk.params
-
-    def apply_s_inv(pos: np.ndarray) -> np.ndarray:
-        out = _genperm_apply_np(sk.pi_lambda, pos, transpose=True)
-        out = _kron_blockmix_apply(sk.s.e_inv, prm.n0, prm.p, out)
-        return _genperm_apply_np(sk.pi_phi, out, transpose=True)
-
-    return apply_s_inv
+    return np.flatnonzero(_scramble(sk, sk.s.e_poly, pos))
 
 
 def q_correction_mask(q: QFactors, r0: int) -> np.ndarray:
     """Dense r0 x r0 matrix K = Pi^T A D^-1 B^T Pi^T of the rank-z term."""
     z = q.a.cols
-    inv_perm = _invert_perm(q.perm)
+    inv_perm = invert_perm(q.perm)
     pa = np.array([[q.a.get(inv_perm[k], j) for j in range(z)]
                    for k in range(r0)], dtype=np.uint8)
     dinv = np.array([[q.d_inv.get(i, j) for j in range(z)]
@@ -253,136 +223,55 @@ def q_correction_mask(q: QFactors, r0: int) -> np.ndarray:
     return (pa @ dinv @ btp) & 1
 
 
-def invert_q(sk: PrivateKey):
-    """Application procedure for Q^-1 (column action on supports)."""
-    prm = sk.params
-    p, r0 = prm.p, prm.r0
-    kmat = q_correction_mask(sk.q, r0)
-    m_perm = sk.m_perm
-
-    def apply_q_inv(pos: np.ndarray) -> np.ndarray:
-        out = _genperm_apply_np(m_perm, pos, transpose=True)
-        # rank-z correction: block parities in, all-ones blocks out
-        parities = np.zeros(r0, dtype=np.uint8)
-        np.add.at(parities, pos // p, 1)
-        flagged = (kmat @ (parities & 1)) & 1
-        if flagged.any():
-            ones = np.flatnonzero(flagged).astype(np.int64)
-            full = (ones[:, None] * p + np.arange(p)[None, :]).ravel()
-            counts = np.zeros(r0 * p, dtype=np.int32)
-            np.add.at(counts, out, 1)
-            np.add.at(counts, full, 1)
-            out = np.flatnonzero(counts & 1).astype(np.int64)
-        return out
-
-    return apply_q_inv
-
-
 # ---------------------------------------------------------------------------
 # public key
 
 
 def build_public_key(sk: PrivateKey) -> PublicKey:
-    """Dense grid [Q^-1 V^T | Q^-1] . S^-1 built without expanding Q^-1.
+    """Dense grid [Q^-1 V^T | Q^-1] . S^-1 built without expanding Q^-1 or S.
 
-    Intermediate blocks are kept as (single coefficient, all-ones flag)
-    pairs until the final dense mixing step; the all-ones polynomial is
-    invariant under rotations, so the flags just travel along.
+    Row i of H' is S^-T applied to row i of Q^-1 H, with H = [V^T | I_r].
+    Q^-1 H = M^T H + (K x 1_{pxp}) H.  The first term has single-coefficient
+    blocks, whose first rows go through the scrambler chain with E^-T.  The
+    second has all-ones blocks, which rotations leave unchanged, so they
+    travel as one flag per block through the block maps and E^-T.
     """
     prm = sk.params
     p, n0, r0, k0 = prm.p, prm.n0, prm.r0, prm.k0
     kmat = q_correction_mask(sk.q, r0)
-    inv_perm = _invert_perm(sk.q.perm)
+    e_t = transpose_int(sk.s.e_inv, n0)
 
-    # X = [M^T V^T | M^T] as single-coefficient positions, -1 for null
-    pos = np.full((r0, n0), -1, dtype=np.int64)
-    for i in range(r0):
-        ki = inv_perm[i]
-        vi = sk.q.psi_rots[i]
-        for j in range(k0):
-            blk = sk.v.blocks[j][ki]
-            if blk:
-                t = blk.bit_length() - 1
-                pos[i, j] = (-vi - t) % p
-        pos[i, k0 + ki] = (-vi) % p
-
-    # all-ones flags from the rank-z part of Q^-1
-    nzv = np.array([[1 if sk.v.blocks[j][k] else 0 for k in range(r0)]
-                    for j in range(k0)], dtype=np.uint8)
-    jf = np.empty((r0, n0), dtype=np.uint8)
-    jf[:, :k0] = (kmat @ nzv.T) & 1
-    jf[:, k0:] = kmat
-
-    # right-multiply by PiPhi^T: permute block columns, add rotations
-    pos, jf = _mul_genperm_t_cols(pos, jf, sk.pi_phi, p)
-
-    # right-multiply by (E^-1 x I_p): scatter single coefficients, then
-    # carry the flags through the circulant of E^-1
-    e_inv = sk.s.e_inv
-    offs = np.array([d for d in range(n0) if (e_inv >> d) & 1], dtype=np.int64)
-    einv_circ = _circulant_bits(e_inv, n0)
-    jf = (jf @ einv_circ) & 1
-
-    bits_rows = []
-    for i in range(r0):
-        counts = np.zeros(n0 * p, dtype=np.int16)
-        src = np.flatnonzero(pos[i] >= 0)
-        if len(src):
-            tgt = ((src[:, None] + offs[None, :]) % n0) * p
-            flat = (tgt + pos[i, src][:, None]).ravel()
-            np.add.at(counts, flat, 1)
-        bits_rows.append((counts & 1).astype(np.uint8).reshape(n0, p))
-
-    # right-multiply by PiLambda^T on dense blocks
-    inv2 = np.empty(n0, dtype=np.int64)
-    bp2 = np.array(sk.pi_lambda.block_perm, dtype=np.int64)
-    inv2[bp2] = np.arange(n0)
-    rot2 = np.array(sk.pi_lambda.rotations, dtype=np.int64)
-    full_mask = mask_of(p)
+    nzv = np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
+                   dtype=np.uint8)
+    flags = np.empty((r0, n0), dtype=np.uint8)
+    flags[:, :k0] = (kmat @ nzv.T) & 1
+    flags[:, k0:] = kmat
+    phi = np.empty_like(flags)
+    phi[:, sk.pi_phi.block_perm] = flags
+    mixed = sum(np.roll(phi, -d, axis=1) for d in _support(e_t, n0)) & 1
+    ones = np.empty((r0, n0), dtype=bool)
+    ones[:, sk.pi_lambda.block_perm] = mixed
 
     rows = []
-    for i in range(r0):
-        packed = np.packbits(bits_rows[i], axis=1, bitorder="little")
-        ints = [int.from_bytes(packed[jb].tobytes(), "little")
-                for jb in range(n0)]
-        row = []
-        for j in range(n0):
-            src = inv2[j]
-            val = rotl_int(ints[src], int(rot2[src]), p)
-            if jf[i, src]:
-                val ^= full_mask
-            row.append(val)
-        rows.append(tuple(row))
+    for i, ki in enumerate(invert_perm(sk.q.perm)):
+        # first row of block row i of M^T H: one coefficient per block
+        rot = -sk.q.psi_rots[i]
+        sup = [j * p + (rot - blk.bit_length() + 1) % p
+               for j, blk in enumerate(vrow[ki] for vrow in sk.v.blocks) if blk]
+        sup.append((k0 + ki) * p + rot % p)
+        bits = _scramble(sk, e_t, np.array(sup, dtype=np.int64)).reshape(n0, p)
+        bits ^= ones[i][:, None]
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        rows.append(tuple(int.from_bytes(b.tobytes(), "little") for b in packed))
     return PublicKey(prm, QcMatrix(r0, n0, p, tuple(rows)))
-
-
-def _mul_genperm_t_cols(pos, jf, perm: GenPermutation, p: int):
-    """Columns of X . P^T: output column j = column inv(j), rotated."""
-    n = len(perm.block_perm)
-    inv = np.empty(n, dtype=np.int64)
-    inv[np.array(perm.block_perm)] = np.arange(n)
-    rot = np.array(perm.rotations, dtype=np.int64)[inv]
-    new_pos = pos[:, inv].copy()
-    live = new_pos >= 0
-    new_pos[live] = (new_pos[live] + np.broadcast_to(rot, new_pos.shape)[live]) % p
-    return new_pos, jf[:, inv]
-
-
-def _circulant_bits(poly: int, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.uint8)
-    sup = [d for d in range(n) if (poly >> d) & 1]
-    for k in range(n):
-        for d in sup:
-            out[k, (k + d) % n] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------
 # seed expansion
 
 
-def keypair_from_seed(seed: bytes, params: SysParams) -> tuple[PrivateKey, PublicKey]:
-    """Deterministic keypair: same seed and params give identical bits."""
+def private_key_from_seed(seed: bytes, params: SysParams) -> PrivateKey:
+    """Expand only the private half (verification key not materialized)."""
     if len(seed) != params.seed_bytes:
         raise ValueError(
             f"seed must be {params.seed_bytes} bytes for category "
@@ -391,16 +280,10 @@ def keypair_from_seed(seed: bytes, params: SysParams) -> tuple[PrivateKey, Publi
     v = gen_v(params, xof)
     s = gen_s(params, xof)
     q = gen_q(params, xof)
-    sk = PrivateKey(params=params, seed=bytes(seed), v=v, s=s, q=q)
-    return sk, build_public_key(sk)
-
-
-def private_key_from_seed(seed: bytes, params: SysParams) -> PrivateKey:
-    """Expand only the private half (verification key not materialized)."""
-    if len(seed) != params.seed_bytes:
-        raise ValueError("seed length does not match category")
-    xof = Xof(seed)
-    v = gen_v(params, xof)
-    s = gen_s(params, xof)
-    q = gen_q(params, xof)
     return PrivateKey(params=params, seed=bytes(seed), v=v, s=s, q=q)
+
+
+def keypair_from_seed(seed: bytes, params: SysParams) -> tuple[PrivateKey, PublicKey]:
+    """Deterministic keypair: same seed and params give identical bits."""
+    sk = private_key_from_seed(seed, params)
+    return sk, build_public_key(sk)

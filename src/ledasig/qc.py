@@ -6,16 +6,22 @@ with the polynomial of its first row; quasi-cyclic matrices are grids of
 such polynomials with an all-zero polynomial encoding a null block.
 
 Conventions used throughout the package, matching the dense expansion
-returned by the *_to_dense helpers:
+returned by QcMatrix.to_dense_rows:
 
 * circulant row r of poly a = a rotated left by r, i.e. C[r][c] = a[(c-r) % p]
 * product of circulants = product of polynomials
-* C(a) . vec corresponds to poly_transpose(a) * v(x) on column vectors
+* C(a) . vec corresponds to transpose_int(a) * v(x) on column vectors
+
+GenPermutation is the one implementation of a generalized permutation's
+index map; the scrambler S and the permutation part M of Q both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionError, NotInvertible, Singular
 
@@ -33,18 +39,6 @@ def rotl_int(a: int, s: int, p: int) -> int:
     if s == 0:
         return a
     return ((a << s) | (a >> (p - s))) & mask_of(p)
-
-
-def mul_int(a: int, b: int, p: int) -> int:
-    """Product a*b mod x^p + 1, iterating over the sparser operand."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
-    return (acc & mask_of(p)) ^ (acc >> p)
 
 
 def transpose_int(a: int, p: int) -> int:
@@ -105,65 +99,6 @@ def circulant_rows(a: int, p: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class BitPoly:
-    """Polynomial in GF(2)[x]/<x^p + 1>, coefficients packed in an int."""
-
-    coeffs: int
-    p: int
-
-    def __post_init__(self):
-        if self.p <= 0:
-            raise DimensionError("p must be positive")
-        if self.coeffs >> self.p:
-            raise DimensionError("coefficients beyond x^(p-1)")
-
-    @classmethod
-    def unit(cls, p: int) -> "BitPoly":
-        return cls(1, p)
-
-    @classmethod
-    def monomial(cls, t: int, p: int) -> "BitPoly":
-        return cls(1 << (t % p), p)
-
-    @classmethod
-    def from_support(cls, support, p: int) -> "BitPoly":
-        v = 0
-        for i in support:
-            v |= 1 << (i % p)
-        return cls(v, p)
-
-    @property
-    def weight(self) -> int:
-        return self.coeffs.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.p) if (self.coeffs >> i) & 1)
-
-    def to_dense(self) -> list[int]:
-        return circulant_rows(self.coeffs, self.p)
-
-
-def poly_mul(a: BitPoly, b: BitPoly) -> BitPoly:
-    if a.p != b.p:
-        raise DimensionError(f"modulus mismatch: {a.p} != {b.p}")
-    return BitPoly(mul_int(a.coeffs, b.coeffs, a.p), a.p)
-
-
-def poly_add(a: BitPoly, b: BitPoly) -> BitPoly:
-    if a.p != b.p:
-        raise DimensionError(f"modulus mismatch: {a.p} != {b.p}")
-    return BitPoly(a.coeffs ^ b.coeffs, a.p)
-
-
-def poly_transpose(a: BitPoly) -> BitPoly:
-    return BitPoly(transpose_int(a.coeffs, a.p), a.p)
-
-
-def poly_inverse(a: BitPoly) -> BitPoly:
-    return BitPoly(inverse_int(a.coeffs, a.p), a.p)
-
-
-@dataclass(frozen=True)
 class SparseVector:
     """Bit vector stored by its sorted support."""
 
@@ -196,13 +131,6 @@ class SparseVector:
     @property
     def weight(self) -> int:
         return len(self.support)
-
-    def __xor__(self, other: "SparseVector") -> "SparseVector":
-        if self.length != other.length:
-            raise DimensionError("length mismatch")
-        return SparseVector(
-            self.length,
-            tuple(sorted(set(self.support) ^ set(other.support))))
 
 
 @dataclass(frozen=True)
@@ -238,16 +166,6 @@ class QcMatrix:
         rows = tuple(tuple(row) for row in blocks)
         return cls(len(rows), len(rows[0]), p, rows)
 
-    def block(self, i: int, j: int) -> BitPoly:
-        return BitPoly(self.blocks[i][j], self.p)
-
-    def transpose(self) -> "QcMatrix":
-        return QcMatrix(
-            self.cols_blocks, self.rows_blocks, self.p,
-            tuple(tuple(transpose_int(self.blocks[i][j], self.p)
-                        for i in range(self.rows_blocks))
-                  for j in range(self.cols_blocks)))
-
     def to_dense_rows(self) -> list[int]:
         """Dense expansion as (rows_blocks*p) ints of cols_blocks*p bits."""
         p = self.p
@@ -260,58 +178,6 @@ class QcMatrix:
                     v |= expanded[jb][r] << (jb * p)
                 out.append(v)
         return out
-
-
-def qc_add(a: QcMatrix, b: QcMatrix) -> QcMatrix:
-    if (a.rows_blocks, a.cols_blocks, a.p) != (b.rows_blocks, b.cols_blocks, b.p):
-        raise DimensionError("shape mismatch")
-    return QcMatrix(a.rows_blocks, a.cols_blocks, a.p,
-                    tuple(tuple(x ^ y for x, y in zip(ra, rb))
-                          for ra, rb in zip(a.blocks, b.blocks)))
-
-
-def qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
-    """Block-wise product; block (i, j) = sum_k a[i,k] * b[k,j]."""
-    if a.p != b.p:
-        raise DimensionError("modulus mismatch")
-    if a.cols_blocks != b.rows_blocks:
-        raise DimensionError("inner block dimensions differ")
-    p = a.p
-    rows = []
-    for i in range(a.rows_blocks):
-        arow = a.blocks[i]
-        row = []
-        for j in range(b.cols_blocks):
-            acc = 0
-            for k in range(a.cols_blocks):
-                x = arow[k]
-                if x:
-                    y = b.blocks[k][j]
-                    if y:
-                        acc ^= mul_int(x, y, p)
-            row.append(acc)
-        rows.append(tuple(row))
-    return QcMatrix(a.rows_blocks, b.cols_blocks, p, tuple(rows))
-
-
-def qc_vec_mul(a: QcMatrix, v: SparseVector) -> SparseVector:
-    """Column action a . v^T, returning a vector of length rows_blocks*p."""
-    p = a.p
-    if v.length != a.cols_blocks * p:
-        raise DimensionError("vector length does not match block columns")
-    acc = [0] * a.rows_blocks
-    vblocks: dict[int, int] = {}
-    for pos in v.support:
-        vblocks[pos // p] = vblocks.get(pos // p, 0) | (1 << (pos % p))
-    for jb, vb in vblocks.items():
-        for ib in range(a.rows_blocks):
-            blk = a.blocks[ib][jb]
-            if blk:
-                acc[ib] ^= mul_int(transpose_int(blk, p), vb, p)
-    out = 0
-    for ib in range(a.rows_blocks):
-        out |= acc[ib] << (ib * p)
-    return SparseVector.from_int(out, a.rows_blocks * p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +211,6 @@ class DenseBitMatrix:
     def get(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
-    def mul(self, other: "DenseBitMatrix") -> "DenseBitMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions differ")
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.row_bits[low.bit_length() - 1]
-                rr ^= low
-            out.append(acc)
-        return DenseBitMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vec(self, v: int) -> int:
-        """Column action M . v, with v a cols-bit little-endian int."""
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
 
 def dense_invert(m: DenseBitMatrix) -> DenseBitMatrix:
     """Gauss-Jordan inverse over GF(2); raises Singular when rank-deficient."""
@@ -389,7 +233,15 @@ def dense_invert(m: DenseBitMatrix) -> DenseBitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# generalized (block) permutations
+# permutations and generalized (block) permutations
+
+
+def invert_perm(perm) -> list[int]:
+    """The inverse permutation: inv[perm[i]] = i."""
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
 
 
 @dataclass(frozen=True)
@@ -397,7 +249,7 @@ class GenPermutation:
     """Block permutation with a cyclic rotation inside each block.
 
     Index b*p + o of the input is sent to block_perm[b]*p + (o + rotations[b]) % p
-    of the output; the transpose map inverts this.
+    of the output.
     """
 
     block_perm: tuple[int, ...]
@@ -411,55 +263,16 @@ class GenPermutation:
         if len(self.rotations) != b:
             raise DimensionError("one rotation required per block")
 
-    @property
-    def nblocks(self) -> int:
-        return len(self.block_perm)
+    @cached_property
+    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array(self.block_perm, dtype=np.int64),
+                np.array(self.rotations, dtype=np.int64))
 
-    @property
-    def length(self) -> int:
-        return self.nblocks * self.p
-
-    def apply_index(self, idx: int) -> int:
-        b, o = divmod(idx, self.p)
-        return self.block_perm[b] * self.p + (o + self.rotations[b]) % self.p
-
-    def transpose_index(self, idx: int) -> int:
-        b, o = divmod(idx, self.p)
-        src = self.block_perm.index(b)
-        return src * self.p + (o - self.rotations[src]) % self.p
-
-    def inverse_maps(self) -> tuple[list[int], list[int]]:
-        """(source block, rotation) per destination block."""
-        inv = [0] * self.nblocks
-        for b, d in enumerate(self.block_perm):
-            inv[d] = b
-        return inv, [self.rotations[b] for b in inv]
-
-    def to_dense_rows(self) -> list[int]:
-        n = self.length
-        rows = [0] * n
-        for idx in range(n):
-            rows[self.apply_index(idx)] |= 1 << idx
-        return rows
-
-
-def genperm_apply(perm: GenPermutation, v: SparseVector) -> SparseVector:
-    if v.length != perm.length:
-        raise DimensionError("vector length mismatch")
-    return SparseVector(v.length,
-                        tuple(sorted(perm.apply_index(i) for i in v.support)))
-
-
-def genperm_transpose_apply(perm: GenPermutation, v: SparseVector) -> SparseVector:
-    if v.length != perm.length:
-        raise DimensionError("vector length mismatch")
-    inv, _ = perm.inverse_maps()
-    out = []
-    for idx in v.support:
-        b, o = divmod(idx, perm.p)
-        src = inv[b]
-        out.append(src * perm.p + (o - perm.rotations[src]) % perm.p)
-    return SparseVector(v.length, tuple(sorted(out)))
+    def apply(self, pos: np.ndarray) -> np.ndarray:
+        """Images of the int64 positions pos, in the same order."""
+        blocks, rots = self._maps
+        b, o = np.divmod(pos, self.p)
+        return blocks[b] * self.p + (o + rots[b]) % self.p
 
 
 def genperm_from_left(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
@@ -468,29 +281,11 @@ def genperm_from_left(perm_rows: list[int], rots: list[int], p: int) -> GenPermu
     P is the permutation matrix with P[i][j] = 1 iff j = perm_rows[i]; the
     rotation x^rots[i] scales block row i.
     """
-    b = len(perm_rows)
-    inv = [0] * b
-    for i, j in enumerate(perm_rows):
-        inv[j] = i
-    return GenPermutation(
-        tuple(inv),
-        tuple((-rots[inv[blk]]) % p for blk in range(b)),
-        p)
+    inv = invert_perm(perm_rows)
+    return GenPermutation(tuple(inv), tuple((-rots[i]) % p for i in inv), p)
 
 
 def genperm_from_right(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
     """Generalized permutation equal to (P x I_p) . Diag(x^rots)."""
-    b = len(perm_rows)
-    inv = [0] * b
-    for i, j in enumerate(perm_rows):
-        inv[j] = i
-    return GenPermutation(
-        tuple(inv),
-        tuple((-rots[blk]) % p for blk in range(b)),
-        p)
-
-
-def permutation_to_dense(perm_rows: list[int]) -> DenseBitMatrix:
-    """Dense matrix with P[i][j] = 1 iff j = perm_rows[i]."""
-    n = len(perm_rows)
-    return DenseBitMatrix(n, n, tuple(1 << perm_rows[i] for i in range(n)))
+    return GenPermutation(tuple(invert_perm(perm_rows)),
+                          tuple((-r) % p for r in rots), p)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .drbg import Xof, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
-from .keygen import PrivateKey, apply_s, _genperm_apply_np
+from .keygen import PrivateKey, apply_s
 from .params import SysParams
 from .qc import DenseBitMatrix, SparseVector
 
@@ -68,17 +68,6 @@ def cw_encode(digest: bytes, length: int, weight: int) -> SparseVector:
         support.append(swapped.get(j, j))
         swapped[j] = vi
     return SparseVector(length, tuple(sorted(support)))
-
-
-@dataclass(frozen=True)
-class CwEncoder:
-    """Constant-weight encoder bound to a target length and weight."""
-
-    target_length: int
-    target_weight: int
-
-    def __call__(self, digest: bytes) -> SparseVector:
-        return cw_encode(digest, self.target_length, self.target_weight)
 
 
 def kernel_check(bt: DenseBitMatrix, s: SparseVector, p: int) -> bool:
@@ -144,8 +133,7 @@ def gen_error(sk: PrivateKey, message: bytes, xof: Xof):
         digest = hash_digest(message, theta, prm)
         s = cw_encode(digest, prm.r, prm.w)
         if kernel_check(sk.q.b, s, prm.p):
-            s_perm = _genperm_apply_np(
-                sk.m_perm, np.asarray(s.support, dtype=np.int64))
+            s_perm = sk.m_perm.apply(np.asarray(s.support, dtype=np.int64))
             return theta, s_perm + prm.k, s
     raise ThetaExhausted("no salt passed the kernel test")
 

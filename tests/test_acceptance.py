@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import (dense_eye, dense_mul, dense_vec_mul, q_dense,
-                     q_inv_dense, s_dense, s_inv_dense)
+                     q_inv_dense, qc_mul, qc_vec_mul, s_dense, s_inv_dense)
 from ledasig import (INSTANCES, encode_private_key_at_rest,
                      encode_public_key, encode_signature, get_instance,
                      keypair_from_seed, private_key_at_rest_bytes,
@@ -28,8 +28,7 @@ from ledasig.drbg import Xof
 from ledasig.estimator import (and_weight_dist, full_report,
                                signature_bit_probability, xor_weight_dist)
 from ledasig.keygen import PrivateKey, gen_q, gen_s, gen_v
-from ledasig.qc import (DenseBitMatrix, QcMatrix, SparseVector, qc_mul,
-                        qc_vec_mul)
+from ledasig.qc import DenseBitMatrix, QcMatrix, SparseVector
 from ledasig.signer import Signature, cw_encode, kernel_check, sign
 
 RNG_SEED = b"acceptance-suite"
@@ -189,7 +188,7 @@ def test_criterion_3_lifetime(reports, name):
         f"{name}: lifetime {got} vs published {ref} "
         "(gamma3 is a known, documented deviation: the printed model "
         "reproduces the other eight instances integer-exactly and was "
-        "verified at 40-digit precision; see /root/notes/decisions.md)")
+        "verified at 40-digit precision; see docs/decisions.md)")
 
 
 # ---------------------------------------------------------------------------

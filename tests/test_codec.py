@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledasig import (decode_private_key_expanded, decode_public_key,
                      decode_signature, encode_private_key_at_rest,
@@ -6,9 +10,11 @@ from ledasig import (decode_private_key_expanded, decode_public_key,
                      encode_signature, expand_private_key,
                      private_key_at_rest_bytes, public_key_bytes,
                      signature_bytes)
+from ledasig.codec import expand_private_key_only
 from ledasig.drbg import Xof
 from ledasig.errors import FormatError, IntegrityError
-from ledasig.params import INSTANCES, get_instance
+from ledasig.params import INSTANCE_IDS, INSTANCES, get_instance
+from ledasig.qc import DenseBitMatrix, invert_perm
 from ledasig.signer import sign
 
 # published payload sizes in kiB (public key, signature)
@@ -121,3 +127,63 @@ def test_expanded_truncation(a3_key):
         decode_private_key_expanded(blob[:-4])
     with pytest.raises(FormatError):
         decode_private_key_expanded(blob + b"\x00")
+
+
+def test_expanded_singular_d_rejected(a3_key):
+    # A and B with B^T Pi^T A = I_z make D = I_z + B^T Pi^T A zero
+    sk, _ = a3_key
+    prm = sk.params
+    inv_perm = invert_perm(sk.q.perm)
+    a_rows = [0] * prm.r0
+    b_rows = [0] * prm.r0
+    for k in range(prm.z):
+        b_rows[k] = 1 << k
+        a_rows[inv_perm[k]] = 1 << k
+    q = dataclasses.replace(sk.q, a=DenseBitMatrix.from_rows(a_rows, prm.z),
+                            b=DenseBitMatrix.from_rows(b_rows, prm.z))
+    blob = encode_private_key_expanded(dataclasses.replace(sk, q=q))
+    with pytest.raises(FormatError):
+        decode_private_key_expanded(blob)
+
+
+# ---------------------------------------------------------------------------
+# decoders are total: a valid header followed by any bytes gives an object
+# or FormatError (IntegrityError is one), and nothing else
+
+
+ENCODERS = {
+    decode_public_key: lambda sk, pk: encode_public_key(pk),
+    decode_signature: lambda sk, pk: encode_signature(
+        sign(sk, b"fuzz", rng=Xof(b"fuzz")), sk.params),
+    decode_private_key_expanded: lambda sk, pk: encode_private_key_expanded(sk),
+    expand_private_key_only: lambda sk, pk: encode_private_key_at_rest(sk),
+}
+
+
+@st.composite
+def _headed_bytes(draw, valid):
+    """A valid blob with a few bytes changed, or a header and random bytes."""
+    if draw(st.booleans()):
+        instance = draw(st.sampled_from(sorted(INSTANCE_IDS.values())))
+        return valid[:5] + bytes([instance]) + draw(st.binary(max_size=512))
+    blob = bytearray(valid)
+    # the short trailing fields (A and B columns, salt) get half the edits
+    where = st.one_of(st.integers(6, len(blob) - 1),
+                      st.integers(max(6, len(blob) - 64), len(blob) - 1))
+    edits = st.tuples(where, st.integers(0, 255))
+    for pos, value in draw(st.lists(edits, min_size=1, max_size=4)):
+        blob[pos] = value
+    if draw(st.booleans()):
+        del blob[draw(st.integers(6, len(blob))):]
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("decode", list(ENCODERS), ids=lambda f: f.__name__)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decoders_are_total(a3_key, decode, data):
+    blob = data.draw(_headed_bytes(ENCODERS[decode](*a3_key)))
+    try:
+        decode(blob)
+    except FormatError:
+        pass

@@ -2,25 +2,27 @@ import numpy as np
 import pytest
 
 from helpers import (dense_eye, dense_mul, dense_transpose, dense_vec_mul,
-                     g_dense, h_dense, q_dense, q_inv_dense, s_dense,
-                     s_inv_dense, support_to_int)
+                     g_dense, genperm_dense, genperm_transpose, h_dense,
+                     invert_q, invert_s, kron_blockmix_apply, q_dense,
+                     q_inv_dense, s_dense, s_inv_dense, support_to_int,
+                     toy_private_key)
 from ledasig import keypair_from_seed, toy_params
 from ledasig.drbg import Xof
 from ledasig.keygen import (PrivateKey, apply_s, build_public_key, compute_d,
-                            gen_q, gen_s, gen_v, invert_q, invert_s)
+                            gen_v)
 from ledasig.params import get_instance
-from ledasig.qc import DenseBitMatrix, QcMatrix
+from ledasig.qc import DenseBitMatrix, QcMatrix, transpose_int
 
 
 def test_gen_v_block_row_structure():
     prm = toy_params("genv", n0=7, r0=3, p=5, z=1, m_S=1, w=1, w_g=3, m_g=1)
-    v = gen_v(prm, Xof(b"v"))
-    for row in v.blocks:
+    sk = toy_private_key(prm, b"v")
+    for row in sk.v.blocks:
         nonzero = [b for b in row if b]
         assert len(nonzero) == prm.w_g - 1
         assert all(b.bit_count() == 1 for b in nonzero)
     # expanded generator [I | V] has row weight w_g
-    for i, grow in enumerate(g_dense(_sk_with_v(prm, v))):
+    for grow in g_dense(sk):
         assert grow.bit_count() == prm.w_g
 
 
@@ -28,12 +30,6 @@ def test_gen_v_degenerate_wg1():
     prm = toy_params("genv1", n0=7, r0=3, p=5, z=1, m_S=1, w=0, w_g=1, m_g=1)
     v = gen_v(prm, Xof(b"v"))
     assert all(b == 0 for row in v.blocks for b in row)
-
-
-def _sk_with_v(prm, v):
-    xof = Xof(b"rest")
-    return PrivateKey(params=prm, seed=b"", v=v, s=gen_s(prm, xof),
-                      q=gen_q(prm, xof))
 
 
 def test_gen_v_full_scale_row_count(a3_key):
@@ -60,37 +56,30 @@ def test_s_column_weight_full_scale(a3_key):
 
 def test_s_row_weight_full_scale(a3_key):
     # row i of S = S^T e_i = PiPhi^T (E^T x I_p) PiLambda^T e_i
-    from ledasig.keygen import _genperm_apply_np, _kron_blockmix_apply
-    from ledasig.qc import transpose_int
     sk, _ = a3_key
     prm = sk.params
     et = transpose_int(sk.s.e_poly, prm.n0)
+    lam_t = genperm_transpose(sk.pi_lambda)
+    phi_t = genperm_transpose(sk.pi_phi)
     for i in (0, 127, prm.n - 1):
-        pos = _genperm_apply_np(sk.pi_lambda, np.array([i], dtype=np.int64),
-                                transpose=True)
-        pos = _kron_blockmix_apply(et, prm.n0, prm.p, pos)
-        pos = _genperm_apply_np(sk.pi_phi, pos, transpose=True)
+        pos = lam_t.apply(np.array([i], dtype=np.int64))
+        pos = kron_blockmix_apply(et, prm.n0, prm.p, pos)
+        pos = phi_t.apply(pos)
         assert len(pos) == prm.m_S
 
 
 def test_s_trivial_permutation_case():
     # m_S = 1 with trivial factors: S is a permutation matrix
     prm = toy_params("s1", n0=5, r0=2, p=3, z=1, m_S=1, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"s1")
+    sk = toy_private_key(prm, b"s1")
     rows = s_dense(sk)
     assert all(r.bit_count() == 1 for r in rows)
-    assert dense_transpose(rows, prm.n) != rows or True
-
-
-def private_key_from_seed_toy(prm, seed):
-    xof = Xof(seed)
-    return PrivateKey(params=prm, seed=bytes(seed), v=gen_v(prm, xof),
-                      s=gen_s(prm, xof), q=gen_q(prm, xof))
+    assert all(c.bit_count() == 1 for c in dense_transpose(rows, prm.n))
 
 
 def test_s_inverse_roundtrip_dense():
     prm = toy_params("sinv", n0=5, r0=2, p=3, z=1, m_S=3, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"abc")
+    sk = toy_private_key(prm, b"abc")
     prod = dense_mul(s_dense(sk), s_inv_dense(sk), prm.n)
     assert prod == dense_eye(prm.n)
 
@@ -114,14 +103,14 @@ def test_compute_d_zero_a_is_identity():
 
 def test_q_inverse_dense_toy():
     prm = toy_params("qinv", n0=13, r0=5, p=3, z=2, m_S=3, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"q")
+    sk = toy_private_key(prm, b"q")
     prod = dense_mul(q_dense(sk), q_inv_dense(sk), prm.r)
     assert prod == dense_eye(prm.r)
 
 
 def test_q_inverse_even_p():
     prm = toy_params("qeven", n0=13, r0=5, p=4, z=2, m_S=3, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"qe")
+    sk = toy_private_key(prm, b"qe")
     assert sk.q.d_inv == DenseBitMatrix.identity(2)
     prod = dense_mul(q_dense(sk), q_inv_dense(sk), prm.r)
     assert prod == dense_eye(prm.r)
@@ -131,7 +120,7 @@ def test_q_rank_correction_bounded(toy13_key):
     sk, _ = toy13_key
     prm = sk.params
     # R = Q - M must have rank at most z over GF(2)
-    m_rows = sk.m_perm.to_dense_rows()
+    m_rows = genperm_dense(sk.m_perm)
     r_rows = [q ^ m for q, m in zip(q_dense(sk), m_rows)]
     assert _gf2_rank(r_rows) <= prm.z
 
@@ -153,7 +142,7 @@ def _gf2_rank(rows):
 
 def test_invert_q_matches_dense_inverse():
     prm = toy_params("qapp", n0=13, r0=5, p=3, z=2, m_S=3, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"qq")
+    sk = toy_private_key(prm, b"qq")
     apply_q_inv = invert_q(sk)
     qinv_rows = q_inv_dense(sk)
     rng = np.random.default_rng(5)
@@ -187,7 +176,7 @@ def test_public_key_trivial_factors():
 
 def test_public_key_matches_dense_chain():
     prm = toy_params("pkd", n0=13, r0=5, p=3, z=2, m_S=3, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"pk")
+    sk = toy_private_key(prm, b"pk")
     pk = build_public_key(sk)
     ht = h_dense(sk)
     expected = dense_mul(dense_mul(q_inv_dense(sk), ht, prm.n),
@@ -198,7 +187,7 @@ def test_public_key_matches_dense_chain():
 def test_public_key_annihilates_scrambled_codewords_exhaustive():
     # tiny code: k = 3, run all 8 information words
     prm = toy_params("ann", n0=3, r0=2, p=3, z=1, m_S=1, w=1, w_g=3, m_g=1)
-    sk = private_key_from_seed_toy(prm, b"an")
+    sk = toy_private_key(prm, b"an")
     pk = build_public_key(sk)
     g = g_dense(sk)
     s_rows_t = dense_transpose(s_dense(sk), prm.n)

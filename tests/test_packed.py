@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import dense_vec_mul
+from helpers import dense_vec_mul, qc_vec_mul
 from ledasig.packed import _HAVE_NUMBA, PackedQc
-from ledasig.qc import QcMatrix, SparseVector, qc_vec_mul
+from ledasig.qc import QcMatrix, SparseVector
 
 
 def rnd_qc(rng, rb, cb, p):

@@ -1,15 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
-from helpers import dense_mul, dense_transpose, dense_vec_mul
+from helpers import (BitPoly, dense_eye, dense_mul, dense_transpose,
+                     dense_vec_mul, genperm_dense, genperm_transpose, mul_int,
+                     poly_inverse, poly_mul, qc_mul, qc_vec_mul)
 from ledasig.errors import DimensionError, NotInvertible, Singular
-from ledasig.qc import (BitPoly, DenseBitMatrix, GenPermutation, QcMatrix,
-                        SparseVector, dense_invert, genperm_apply,
-                        genperm_from_left, genperm_from_right,
-                        genperm_transpose_apply, inverse_int, mul_int,
-                        poly_inverse, poly_mul, qc_mul, qc_vec_mul,
-                        transpose_int)
+from ledasig.qc import (DenseBitMatrix, GenPermutation, QcMatrix,
+                        SparseVector, dense_invert, genperm_from_left,
+                        genperm_from_right, inverse_int, transpose_int)
 
 
 def rnd_poly(rng, p):
@@ -193,8 +193,8 @@ def test_dense_invert_multiply_back():
                 break
             except Singular:
                 continue
-        assert m.mul(inv) == DenseBitMatrix.identity(8)
-        assert inv.mul(m) == DenseBitMatrix.identity(8)
+        assert dense_mul(list(m.row_bits), list(inv.row_bits), 8) == dense_eye(8)
+        assert dense_mul(list(inv.row_bits), list(m.row_bits), 8) == dense_eye(8)
 
 
 def test_dense_invert_singular():
@@ -208,13 +208,13 @@ def test_dense_invert_singular():
 
 def test_genperm_identity():
     gp = GenPermutation((0, 1, 2), (0, 0, 0), 4)
-    v = SparseVector(12, (0, 5, 11))
-    assert genperm_apply(gp, v) == v
+    sup = np.array([0, 5, 11], dtype=np.int64)
+    assert np.array_equal(gp.apply(sup), sup)
 
 
 def test_genperm_spec_index_example():
     gp = GenPermutation((1, 0), (1, 2), 3)
-    assert gp.apply_index(0) == 4
+    assert gp.apply(np.array([0], dtype=np.int64)).tolist() == [4]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -224,20 +224,20 @@ def test_genperm_transpose_roundtrip(seed):
     perm = list(range(b))
     rng.shuffle(perm)
     gp = GenPermutation(tuple(perm), tuple(rng.randrange(p) for _ in range(b)), p)
-    sup = tuple(sorted(rng.sample(range(b * p), 7)))
-    v = SparseVector(b * p, sup)
-    assert genperm_transpose_apply(gp, genperm_apply(gp, v)) == v
-    assert genperm_apply(gp, genperm_transpose_apply(gp, v)) == v
+    gt = genperm_transpose(gp)
+    sup = np.array(sorted(rng.sample(range(b * p), 7)), dtype=np.int64)
+    assert np.array_equal(gt.apply(gp.apply(sup)), sup)
+    assert np.array_equal(gp.apply(gt.apply(sup)), sup)
 
 
 def test_genperm_transpose_is_dense_transpose():
-    rng = random.Random(11)
     gp = GenPermutation((2, 0, 1), (1, 4, 2), 5)
-    rows = gp.to_dense_rows()
-    t_rows = dense_transpose(rows, gp.length)
-    for idx in range(gp.length):
-        out = genperm_transpose_apply(gp, SparseVector(gp.length, (idx,)))
-        assert dense_vec_mul(t_rows, 1 << idx) == out.to_int()
+    n = 15
+    t_rows = dense_transpose(genperm_dense(gp), n)
+    gt = genperm_transpose(gp)
+    for idx in range(n):
+        out = gt.apply(np.array([idx], dtype=np.int64))
+        assert dense_vec_mul(t_rows, 1 << idx) == 1 << int(out[0])
 
 
 def _diag_rot_dense(rots, p):
@@ -269,6 +269,6 @@ def test_genperm_factor_constructors_match_dense(seed):
     diag = _diag_rot_dense(rots, p)
     pk = _perm_kron_dense(perm, p)
     left = genperm_from_left(perm, rots, p)
-    assert left.to_dense_rows() == dense_mul(diag, pk, n)
+    assert genperm_dense(left) == dense_mul(diag, pk, n)
     right = genperm_from_right(perm, rots, p)
-    assert right.to_dense_rows() == dense_mul(pk, diag, n)
+    assert genperm_dense(right) == dense_mul(pk, diag, n)

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (dense_vec_mul, h_dense, kron_all_ones, support_to_int)
+from helpers import (dense_vec_mul, h_dense, kron_all_ones, support_to_int,
+                     toy_private_key)
 from ledasig import toy_params
 from ledasig.drbg import Xof
-from ledasig.keygen import gen_q, gen_s, gen_v, PrivateKey
 from ledasig.params import get_instance
 from ledasig.qc import DenseBitMatrix, SparseVector
-from ledasig.signer import (CwEncoder, Signature, codeword_weight_floor,
+from ledasig.signer import (Signature, codeword_weight_floor,
                             cw_encode, gen_codeword, gen_error, hash_digest,
                             kernel_check, sign)
 
@@ -56,12 +56,6 @@ def test_cw_encode_exact_weight_and_determinism():
         v = cw_encode(d, A3.r, A3.w)
         assert v.weight == A3.w
         assert v == cw_encode(d, A3.r, A3.w)
-
-
-def test_cw_encoder_wrapper():
-    enc = CwEncoder(A3.r, A3.w)
-    d = b"digest"
-    assert enc(d) == cw_encode(d, A3.r, A3.w)
 
 
 def test_cw_encode_weight_exceeds_length():
@@ -141,9 +135,8 @@ def test_gen_codeword_weight_window(toy29_key):
 
 def test_gen_codeword_single_row_weight():
     prm = toy_params("m1", n0=13, r0=5, p=7, z=2, m_S=3, w=2, w_g=5, m_g=1)
+    sk = toy_private_key(prm, b"k")
     xof = Xof(b"k")
-    sk = PrivateKey(params=prm, seed=b"", v=gen_v(prm, xof),
-                    s=gen_s(prm, xof), q=gen_q(prm, xof))
     for _ in range(20):
         c = gen_codeword(sk, xof)
         assert len(c) == prm.w_g
