@@ -201,8 +201,9 @@ def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
     p, n0 = prm.p, prm.n0
     blk, o = np.divmod(sk.pi_phi.apply(pos), p)
     mixed = ((blk[:, None] - _support(e_poly, n0)) % n0) * p + o[:, None]
-    out = sk.pi_lambda.apply(mixed.ravel())
-    return (np.bincount(out, minlength=prm.n) & 1).astype(bool)
+    counts = np.bincount(sk.pi_lambda.apply(mixed.ravel()), minlength=prm.n)
+    counts &= 1
+    return counts.astype(bool)
 
 
 def apply_s(sk: PrivateKey, pos: np.ndarray) -> np.ndarray:
