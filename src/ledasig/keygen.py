@@ -242,7 +242,8 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     kmat = q_correction_mask(sk.q, r0)
     e_t = transpose_int(sk.s.e_inv, n0)
 
-    nzv = np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
+    # all-ones flags of (K x 1_{pxp}) H, then PiPhi, E^-T and PiLambda
+    nzv =np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
                    dtype=np.uint8)
     flags = np.empty((r0, n0), dtype=np.uint8)
     flags[:, :k0] = (kmat @ nzv.T) & 1
