@@ -5,9 +5,35 @@ of sigma by their offset inside a circulant block: every offset t selects
 a subset of block columns, whose packed rows are XOR-reduced and then
 shifted by t into an unreduced 2p-bit accumulator, folded once at the end.
 
-Cost is weight(sigma) * r0 * ceil(p/64) word operations.  A numba kernel
-parallelized over block rows is used when available; the numpy fallback
-implements the identical accumulation.
+Cost model.  The work is weight(sigma) * r0 * ceil(p/64) word XORs on
+every path, so what separates the paths is memory traffic and the number
+of Python-level numpy calls.  A key row (one block column, all r0 block
+rows) is r0 * ceil(p/64) * 8 bytes: 1.4 KB for a3, 54 KB for gamma3.
+
+A numba kernel parallelized over block rows is used when available.  The
+numpy path has two regimes that compute the identical accumulation:
+
+- grouped: one fancy-index gather of the selected key rows per offset,
+  XOR-reduced in one call.  This is about p numpy calls per product,
+  but the gather copies every selected row into a temporary, and numpy's
+  row gather runs at only a few GB/s.
+- tiled: C offsets at a time (C rows of accumulator fill _TILE_BYTES,
+  sized to stay in the per-core L2 cache), the support visited by column
+  block, and each key row XOR-ed in place into its offset's accumulator
+  row.  Nothing is gathered and each key row is read once per tile, but
+  it costs one numpy call per support bit.
+
+The rule between them is the mean number of bytes one offset group would
+gather, weight / #offsets * row bytes.  Small groups are cheap to gather
+and would pay the per-call overhead many times over in the tiled regime;
+large groups spend most of their time in the gather.  Above
+_WIDE_GROUP_BYTES (768 KiB) the tiled regime runs.  Measured at real
+signature weights (2-vCPU Xeon, numpy 2.4), tiled time over grouped time:
+c3 (673 KiB groups, 10.5 KiB rows) 1.14, b6 (439 KiB, 17.7 KiB rows) 0.97,
+beta3 (860 KiB) 0.76, c6 (1.5 MiB) 0.52, gamma3 (3.7 MiB) 0.47, and 1.3
+to 1.9 for the other four instances, so every instance gets the faster
+regime or, for b6, one within 3%.  Row width moves the crossover too: on
+gamma3's 53 KiB rows the tiled regime already wins at 190 KiB groups.
 """
 
 from __future__ import annotations
@@ -33,6 +59,14 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # incremented once per syndrome product; lets tests observe that the
 # verifier's weight gate short-circuits before any matrix work
 COUNTERS = {"syndrome_products": 0}
+
+# a numpy product whose offset groups would gather more key bytes than
+# this on average takes the tiled in-place path (see module docstring)
+_WIDE_GROUP_BYTES = 768 << 10
+# accumulator tile of the in-place path: fits the per-core L2 cache
+_TILE_BYTES = 1 << 20
+# block serialization buffer per step of PackedQc._build
+_BUILD_CHUNK_BYTES = 1 << 22
 
 
 if _HAVE_NUMBA:
@@ -65,6 +99,36 @@ if _HAVE_NUMBA:
                         acc[i, q + wd + 1] ^= v >> sr
 
 
+# swap masks that reverse the bit order inside every byte of a word
+_BIT_SWAPS = tuple(
+    (np.uint64(k), np.uint64(int(("0" * k + "1" * k) * (32 // k), 2)))
+    for k in (1, 2, 4))
+
+
+def _transpose_words(words, p):
+    """Words of transpose_int(block, p) for each row of block words.
+
+    Reversing the word order, the bytes of each word and the bits of each
+    byte sends coefficient i to L-1-i, L = 64*nw.  A right shift by
+    d = L-1-p then puts i at p-i, and bit p (coefficient 0) moves to bit 0.
+    """
+    w = np.ascontiguousarray(words[:, ::-1]).byteswap()
+    for k, m in _BIT_SWAPS:
+        w = ((w >> k) & m) | ((w & m) << k)
+    d = 64 * w.shape[1] - 1 - p
+    if d < 0:  # p = L: rotate the L-bit value left by one
+        return (w << np.uint64(1)) | np.roll(w >> np.uint64(63), 1, axis=1)
+    if d:
+        lo = w >> np.uint64(d)
+        lo[:, :-1] |= w[:, 1:] << np.uint64(64 - d)
+        w = lo
+    q, s = divmod(p, 64)
+    bit = (w[:, q] >> np.uint64(s)) & np.uint64(1)
+    w[:, q] ^= bit << np.uint64(s)
+    w[:, 0] |= bit
+    return w
+
+
 def _offset_groups(blk, off):
     """Sort support by in-block offset; returns groups of equal offsets."""
     order = np.argsort(off, kind="stable")
@@ -76,26 +140,72 @@ def _offset_groups(blk, off):
     return blk_sorted, offsets, starts
 
 
-def _accumulate_numpy(ht_by_col, blk_sorted, offsets, starts, acc, nw):
+def _shift_in(acc, u, t, nw):
+    """acc ^= u * x^t for u of shape (r0, nw), t < p, unreduced."""
+    q, s = divmod(int(t), 64)
+    if s == 0:
+        acc[:, q:q + nw] ^= u
+    else:
+        acc[:, q:q + nw] ^= u << np.uint64(s)
+        acc[:, q + 1:q + 1 + nw] ^= u >> np.uint64(64 - s)
+
+
+def _accumulate_grouped(ht_by_col, blk_sorted, offsets, starts, acc, nw):
+    """One gather-reduce call per offset group (narrow key rows)."""
     for g in range(len(offsets)):
         sel = blk_sorted[starts[g]:starts[g + 1]]
         if len(sel) == 1:
             u = ht_by_col[sel[0]]
         else:
             u = np.bitwise_xor.reduce(ht_by_col[sel], axis=0)
-        u = u.reshape(-1, nw)
-        q, s = divmod(int(offsets[g]), 64)
-        if s == 0:
-            acc[:, q:q + nw] ^= u
-        else:
-            acc[:, q:q + nw] ^= u << np.uint64(s)
-            acc[:, q + 1:q + 1 + nw] ^= u >> np.uint64(64 - s)
+        _shift_in(acc, u.reshape(-1, nw), offsets[g], nw)
+
+
+def _accumulate_tiled(ht_by_col, blk_sorted, offsets, starts, acc, nw):
+    """In-place XOR of key rows into an L2-sized tile of offsets (wide rows).
+
+    Offset groups are taken c at a time.  Inside a tile the support is
+    visited by column block, so each key row is read from memory once per
+    tile and XOR-ed into the accumulator row of every offset that selects
+    it, with no gathered copy.
+    """
+    ngroups = len(offsets)
+    c = max(1, _TILE_BYTES // ht_by_col[0].nbytes)
+    group = np.repeat(np.arange(ngroups), np.diff(starts))
+    order = np.lexsort((group, blk_sorted, group // c))
+    local = (group[order] % c).tolist()
+    blks = blk_sorted[order].tolist()
+    tile = np.empty((min(c, ngroups), ht_by_col.shape[1]), dtype=np.uint64)
+    tile_rows = list(tile)
+    key_rows = list(ht_by_col)
+    xor = np.bitwise_xor
+    for lo in range(0, ngroups, c):
+        hi = min(ngroups, lo + c)
+        tile[:hi - lo] = 0
+        s0, s1 = starts[lo], starts[hi]
+        for j, k in zip(blks[s0:s1], local[s0:s1]):
+            u = tile_rows[k]
+            xor(u, key_rows[j], out=u)
+        for g in range(lo, hi):
+            _shift_in(acc, tile[g - lo].reshape(-1, nw), offsets[g], nw)
+
+
+def _accumulate_numpy(ht_by_col, blk_sorted, offsets, starts, acc, nw):
+    # mean bytes one offset group would gather; above the threshold the
+    # gather's memory traffic outweighs one ufunc call per support bit
+    group_bytes = len(blk_sorted) * ht_by_col[0].nbytes / len(offsets)
+    if group_bytes > _WIDE_GROUP_BYTES:
+        _accumulate_tiled(ht_by_col, blk_sorted, offsets, starts, acc, nw)
+    else:
+        _accumulate_grouped(ht_by_col, blk_sorted, offsets, starts, acc, nw)
 
 
 class PackedQc:
     """Transposed, word-packed image of a QC matrix for column actions."""
 
     def __init__(self, mat: QcMatrix, use_numba: bool | None = None):
+        if use_numba and not _HAVE_NUMBA:
+            raise ValueError("use_numba=True but numba is not installed")
         self.rows_blocks = mat.rows_blocks
         self.cols_blocks = mat.cols_blocks
         self.p = mat.p
@@ -106,22 +216,16 @@ class PackedQc:
     def _build(self, mat: QcMatrix):
         p, nw = self.p, self.words
         r0, n0 = self.rows_blocks, self.cols_blocks
-        rev = (p - np.arange(p)) % p
         packed = np.empty((r0, n0, nw), dtype=np.uint64)
-        chunk = max(1, (1 << 25) // max(1, n0 * p))
+        chunk = max(1, _BUILD_CHUNK_BYTES // (n0 * nw * 8))
         for lo in range(0, r0, chunk):
             hi = min(r0, lo + chunk)
             buf = b"".join(
                 b.to_bytes(nw * 8, "little")
-                for i in range(lo, hi) for b in mat.blocks[i])
-            raw = np.frombuffer(buf, dtype=np.uint8).reshape(hi - lo, n0, nw * 8)
-            bits = np.unpackbits(raw, axis=2, bitorder="little")[:, :, :p]
-            tbits = bits[:, :, rev]
-            pad = np.zeros((hi - lo, n0, nw * 64 - p), dtype=np.uint8)
-            full = np.concatenate((tbits, pad), axis=2)
-            packed[lo:hi] = np.packbits(
-                full, axis=2, bitorder="little").view(np.uint64)
-        self.by_row = np.ascontiguousarray(packed)
+                for row in mat.blocks[lo:hi] for b in row)
+            words = np.frombuffer(buf, dtype="<u8").reshape(-1, nw)
+            packed[lo:hi] = _transpose_words(words, p).reshape(hi - lo, n0, nw)
+        self.by_row = packed
         self.by_col = np.ascontiguousarray(
             packed.transpose(1, 0, 2).reshape(n0, r0 * nw))
 
