@@ -18,10 +18,14 @@ numpy path has two regimes that compute the identical accumulation:
   but the gather copies every selected row into a temporary, and numpy's
   row gather runs at only a few GB/s.
 - tiled: C offsets at a time (C rows of accumulator fill _TILE_BYTES,
-  sized to stay in the per-core L2 cache), the support visited by column
+  an eighth of the per-core L2 cache), the support visited by column
   block, and each key row XOR-ed in place into its offset's accumulator
   row.  Nothing is gathered and each key row is read once per tile, but
-  it costs one numpy call per support bit.
+  it costs one numpy call per support bit.  A tile of half the L2 is
+  about as fast on a quiet core but loses the cache whenever something
+  else uses it: on a shared 2-vCPU host, benchmark runs of gamma3
+  sign-and-verify rounds spread up to 6.5 times wider than with the
+  small tile (docs/decisions.md).
 
 The rule between them is the mean number of bytes one offset group would
 gather, weight / #offsets * row bytes.  Small groups are cheap to gather
@@ -29,10 +33,10 @@ and would pay the per-call overhead many times over in the tiled regime;
 large groups spend most of their time in the gather.  Above
 _WIDE_GROUP_BYTES (768 KiB) the tiled regime runs.  Measured at real
 signature weights (2-vCPU Xeon, numpy 2.4), tiled time over grouped time:
-c3 (673 KiB groups, 10.5 KiB rows) 1.14, b6 (439 KiB, 17.7 KiB rows) 0.97,
-beta3 (860 KiB) 0.76, c6 (1.5 MiB) 0.52, gamma3 (3.7 MiB) 0.47, and 1.3
-to 1.9 for the other four instances, so every instance gets the faster
-regime or, for b6, one within 3%.  Row width moves the crossover too: on
+c3 (669 KiB groups, 10.5 KiB rows) 1.13, b6 (438 KiB, 17.7 KiB rows) 1.00,
+beta3 (864 KiB) 0.79, c6 (1.5 MiB) 0.52, gamma3 (3.6 MiB) 0.51, and 1.3
+to 1.8 for the other four instances, so every instance gets the faster
+regime or, for b6, an equal one.  Row width moves the crossover too: on
 gamma3's 53 KiB rows the tiled regime already wins at 190 KiB groups.
 """
 
@@ -63,8 +67,9 @@ COUNTERS = {"syndrome_products": 0}
 # a numpy product whose offset groups would gather more key bytes than
 # this on average takes the tiled in-place path (see module docstring)
 _WIDE_GROUP_BYTES = 768 << 10
-# accumulator tile of the in-place path: fits the per-core L2 cache
-_TILE_BYTES = 1 << 20
+# accumulator tile of the in-place path: small enough to stay in the
+# per-core L2 cache while something else uses it too (module docstring)
+_TILE_BYTES = 256 << 10
 # block serialization buffer per step of PackedQc._build
 _BUILD_CHUNK_BYTES = 1 << 22
 
