@@ -7,7 +7,7 @@ import time
 
 from ledasig import (get_instance, keypair_from_seed, sign, verify,
                      encode_public_key, encode_signature,
-                     encode_private_key_at_rest, Signature, SparseVector)
+                     encode_private_key_at_rest, PackedVector, Signature)
 
 params = get_instance("a3")
 print(f"instance a3: n={params.n} k={params.k} r={params.r} "
@@ -44,8 +44,9 @@ print(f"\nverify(honest)          -> {ok}  "
 print(f"verify(tampered message)-> {verify(pk, b'attack at dusk', sig)}")
 
 flipped = set(sig.sigma.support) ^ {12345}
-bad_sig = Signature(SparseVector(params.n, tuple(sorted(flipped))),
-                    sig.theta_star)
+bad_sig = Signature(
+    PackedVector.from_support(params.n0, params.p, sorted(flipped)),
+    sig.theta_star)
 print(f"verify(flipped bit)     -> {verify(pk, message, bad_sig)}")
 
 bad_salt = Signature(sig.sigma, sig.theta_star ^ 1)

@@ -3,7 +3,8 @@
 Library layout:
   params     parameter records for the nine proposed instances
   qc         bit-packed GF(2) polynomials, quasi-cyclic and dense bit
-             matrices, and the generalized-permutation index map
+             matrices, the generalized-permutation index map, and the
+             wire-layout vector that holds a signature's sigma
   keygen     seed-deterministic key generation, the scrambler chain
              shared by signing and the public key
   packed     word-packed syndrome product for verification
@@ -26,14 +27,14 @@ from .codec import (decode_private_key_expanded, decode_public_key,
                     signature_bytes)
 from .keygen import keypair_from_seed
 from .params import INSTANCES, get_instance, toy_params
-from .qc import SparseVector
+from .qc import PackedVector
 from .signer import Signature, sign
 from .verifier import verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INSTANCES", "Signature", "SparseVector",
+    "INSTANCES", "PackedVector", "Signature",
     "decode_private_key_expanded", "decode_public_key", "decode_signature",
     "encode_private_key_at_rest", "encode_private_key_expanded",
     "encode_public_key", "encode_signature", "expand_private_key",

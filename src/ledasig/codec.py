@@ -6,6 +6,10 @@ followed by the payload.  Circulant blocks are packed little-endian into
 convention reproduces the reference public-key and signature sizes for
 all nine instances.
 
+A signature's sigma is held in memory as exactly its wire payload (a
+PackedVector), so encoding copies its words and decoding checks only the
+length and that no block has a bit set at or above p.
+
 Payload sizes:
   public key   r0 * n0 * ceil(p/64) * 8
   signature    n0 * ceil(p/64) * 8 + 8         (sigma, then 64-bit salt)
@@ -25,11 +29,11 @@ import os
 import struct
 import tempfile
 
-from .errors import FormatError, IntegrityError, Singular
+from .errors import DimensionError, FormatError, IntegrityError, Singular
 from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
                      build_public_key, compute_d, private_key_from_seed)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
-from .qc import (DenseBitMatrix, QcMatrix, SparseVector, dense_invert,
+from .qc import (DenseBitMatrix, PackedVector, QcMatrix, dense_invert,
                  inverse_int, mask_of)
 from .signer import Signature
 
@@ -118,38 +122,25 @@ def decode_public_key(data: bytes) -> PublicKey:
 
 
 def encode_signature(sig: Signature, params: SysParams) -> bytes:
-    nb = params.block_bytes
-    p = params.p
-    blocks = [0] * params.n0
-    for pos in sig.sigma.support:
-        blocks[pos // p] |= 1 << (pos % p)
-    parts = [_header(KIND_SIGNATURE, params)]
-    parts.extend(b.to_bytes(nb, "little") for b in blocks)
-    parts.append(struct.pack("<Q", sig.theta_star))
-    return b"".join(parts)
+    sigma = sig.sigma
+    if (sigma.blocks, sigma.p) != (params.n0, params.p):
+        raise ValueError(f"signature does not fit instance {params.name}")
+    return (_header(KIND_SIGNATURE, params) + sigma.words
+            + struct.pack("<Q", sig.theta_star))
 
 
 def decode_signature(data: bytes) -> tuple[Signature, SysParams]:
     prm = _parse_header(data, KIND_SIGNATURE)
-    nb = prm.block_bytes
     expected = 6 + signature_bytes(prm)
     if len(data) != expected:
         raise FormatError(f"signature must be {expected} bytes, got {len(data)}")
-    mask = mask_of(prm.p)
-    support = []
-    off = 6
-    for jb in range(prm.n0):
-        v = int.from_bytes(data[off:off + nb], "little")
-        if v & ~mask:
-            raise FormatError("coefficients set beyond x^(p-1)")
-        base = jb * prm.p
-        while v:
-            low = v & -v
-            support.append(base + low.bit_length() - 1)
-            v ^= low
-        off += nb
-    theta = struct.unpack("<Q", data[off:off + 8])[0]
-    return Signature(SparseVector(prm.n, tuple(support)), theta), prm
+    end = expected - 8
+    try:
+        sigma = PackedVector(prm.n0, prm.p, bytes(data[6:end]))
+    except DimensionError:
+        raise FormatError("coefficients set beyond x^(p-1)") from None
+    theta = struct.unpack("<Q", data[end:])[0]
+    return Signature(sigma, theta), prm
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ M a generalized permutation and R = (A . B^T) x 1_{pxp} of rank at most z;
 Q^-1 = M^T + (Pi^T A D^-1 B^T Pi^T) x 1_{pxp} via the Woodbury identity,
 where D = I_z + B^T Pi^T A for odd p and D = I_z for even p.
 
-Signing applies S to sparse supports (apply_s).  The public key needs S^-1
+Signing applies S to sparse supports (apply_s), which packs S . x^T
+straight into the signature's wire layout.  The public key needs S^-1
 only through S^-T = PiLambda . (E^-T x I_p) . PiPhi, which has the shape
 of S, so build_public_key runs the same chain with E^-T in place of E.
 
@@ -27,9 +28,9 @@ from .drbg import Xof
 from .errors import NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
-from .qc import (DenseBitMatrix, GenPermutation, QcMatrix, dense_invert,
-                 genperm_from_left, genperm_from_right, inverse_int,
-                 invert_perm, transpose_int)
+from .qc import (DenseBitMatrix, GenPermutation, PackedVector, QcMatrix,
+                 dense_invert, genperm_from_left, genperm_from_right,
+                 inverse_int, invert_perm, transpose_int)
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,11 @@ def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
     return counts.astype(bool)
 
 
-def apply_s(sk: PrivateKey, pos: np.ndarray) -> np.ndarray:
-    """Support of S . x^T (column action) for x given by support."""
-    return np.flatnonzero(_scramble(sk, sk.s.e_poly, pos))
+def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
+    """S . x^T (column action) for x given by support, in the wire layout."""
+    prm = sk.params
+    bits = _scramble(sk, sk.s.e_poly, pos)
+    return PackedVector.from_bits(bits.reshape(prm.n0, prm.p))
 
 
 def q_correction_mask(q: QFactors, r0: int) -> np.ndarray:

@@ -134,6 +134,67 @@ class SparseVector:
 
 
 @dataclass(frozen=True)
+class PackedVector:
+    """Bit vector of `blocks` length-p blocks, held in its wire layout.
+
+    Block b is ceil(p/64) little-endian 64-bit words of `words`, its
+    coefficient i at bit i; vector position b*p + i is that coefficient.
+    The bits at and above p of every block stay clear.  Equality and
+    hashing go by the bytes; the support is derived on demand.
+    """
+
+    blocks: int
+    p: int
+    words: bytes
+
+    def __post_init__(self):
+        nw = (self.p + 63) // 64
+        if len(self.words) != self.blocks * nw * 8:
+            raise DimensionError("payload is not blocks x ceil(p/64) words")
+        used = self.p - 64 * (nw - 1)   # bits of a block's last word below p
+        if used < 64 and (self._array()[:, -1] >> np.uint64(used)).any():
+            raise DimensionError("bit set at or above p in a block")
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray) -> "PackedVector":
+        """Pack a (blocks, p) array of 0/1 coefficients."""
+        blocks, p = bits.shape
+        out = np.zeros((blocks, (p + 63) // 64 * 8), dtype=np.uint8)
+        out[:, :(p + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+        return cls(blocks, p, out.tobytes())
+
+    @classmethod
+    def from_support(cls, blocks: int, p: int, support) -> "PackedVector":
+        pos = np.asarray(support, dtype=np.int64)
+        if len(pos) and (pos.min() < 0 or pos.max() >= blocks * p):
+            raise DimensionError("support position out of range")
+        bits = np.zeros(blocks * p, dtype=bool)
+        bits[pos] = True
+        return cls.from_bits(bits.reshape(blocks, p))
+
+    def _array(self) -> np.ndarray:
+        return np.frombuffer(self.words, dtype="<u8").reshape(self.blocks, -1)
+
+    @property
+    def length(self) -> int:
+        return self.blocks * self.p
+
+    @property
+    def weight(self) -> int:
+        return int(np.bitwise_count(self._array()).sum())
+
+    def positions(self) -> np.ndarray:
+        """Sorted int64 positions of the set bits."""
+        raw = self._array().view(np.uint8)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        return np.flatnonzero(bits[:, :self.p])
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self.positions().tolist())
+
+
+@dataclass(frozen=True)
 class QcMatrix:
     """Grid of circulant blocks; blocks[i][j] packs the (i, j) polynomial."""
 

@@ -6,6 +6,11 @@ redrawn with fresh salts until it lies in the kernel of the rank-z part
 of Q, which makes Q.s a pure permutation of s; the error vector is then
 e = [0_k | (M.s)^T] and c is a random sparse codeword of weight close to
 m_g * w_g.
+
+sigma is held as its wire payload, a PackedVector of n0 blocks of
+ceil(p/64) little-endian words: apply_s packs the scrambled parity
+straight into it, the codec copies it, and the verifier's weight gate is
+a popcount over it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .drbg import Xof, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
-from .qc import DenseBitMatrix, SparseVector
+from .qc import DenseBitMatrix, PackedVector, SparseVector
 
 THETA_MAX = (1 << 64) - 1
 _THETA_ITER_CAP = 1 << 32
@@ -31,7 +36,7 @@ _HASHES = {1: hashlib.sha3_256, 3: hashlib.sha3_384, 5: hashlib.sha3_512}
 
 @dataclass(frozen=True)
 class Signature:
-    sigma: SparseVector
+    sigma: PackedVector
     theta_star: int
 
     def __post_init__(self):
@@ -141,10 +146,6 @@ def gen_error(sk: PrivateKey, message: bytes, xof: Xof):
 def sign(sk: PrivateKey, message: bytes, rng: Xof | None = None) -> Signature:
     """Produce a signature; rng only controls salt and codeword choice."""
     xof = rng if rng is not None else fresh_xof()
-    prm = sk.params
     c_sup = gen_codeword(sk, xof)
     theta_star, e_sup, _ = gen_error(sk, message, xof)
-    x = np.setxor1d(c_sup, e_sup)
-    sigma = apply_s(sk, x)
-    return Signature(
-        SparseVector(prm.n, tuple(int(i) for i in sigma)), theta_star)
+    return Signature(apply_s(sk, np.setxor1d(c_sup, e_sup)), theta_star)

@@ -28,7 +28,8 @@ from ledasig.drbg import Xof
 from ledasig.estimator import (and_weight_dist, full_report,
                                signature_bit_probability, xor_weight_dist)
 from ledasig.keygen import PrivateKey, gen_q, gen_s, gen_v
-from ledasig.qc import DenseBitMatrix, QcMatrix, SparseVector
+from ledasig.qc import (DenseBitMatrix, PackedVector, QcMatrix,
+                        SparseVector)
 from ledasig.signer import Signature, cw_encode, kernel_check, sign
 
 RNG_SEED = b"acceptance-suite"
@@ -111,8 +112,9 @@ def test_criterion_1_corruptions(material):
         msg, sig = sigs[trial % 100]
         pos = int(rng.integers(prm.n))
         flipped = set(sig.sigma.support) ^ {pos}
-        bad = Signature(SparseVector(prm.n, tuple(sorted(flipped))),
-                        sig.theta_star)
+        bad = Signature(
+            PackedVector.from_support(prm.n0, prm.p, sorted(flipped)),
+            sig.theta_star)
         if verify(pk, msg, bad):
             accepted_bits += 1
     for trial in range(1000):

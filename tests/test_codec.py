@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,10 @@ from ledasig import (decode_private_key_expanded, decode_public_key,
                      signature_bytes)
 from ledasig.codec import expand_private_key_only
 from ledasig.drbg import Xof
-from ledasig.errors import FormatError, IntegrityError
+from ledasig.errors import DimensionError, FormatError, IntegrityError
+from ledasig.keygen import private_key_from_seed
 from ledasig.params import INSTANCE_IDS, INSTANCES, get_instance
-from ledasig.qc import DenseBitMatrix, invert_perm
+from ledasig.qc import DenseBitMatrix, PackedVector, invert_perm
 from ledasig.signer import sign
 
 # published payload sizes in kiB (public key, signature)
@@ -94,6 +96,63 @@ def test_stray_bits_rejected(a3_key):
     blob[6 + prm.block_bytes - 1] |= 0x80
     with pytest.raises(FormatError):
         decode_signature(bytes(blob))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_padding_bit_rejected_in_any_block(a3_key, where):
+    sk, _ = a3_key
+    prm = sk.params
+    block = {"first": 0, "middle": prm.n0 // 2, "last": prm.n0 - 1}[where]
+    blob = bytearray(encode_signature(sign(sk, b"m", rng=Xof(b"u")), prm))
+    for bit in range(prm.p, 64 * (prm.block_bytes // 8)):
+        bad = bytearray(blob)
+        bad[6 + block * prm.block_bytes + bit // 8] |= 1 << (bit % 8)
+        with pytest.raises(FormatError):
+            decode_signature(bytes(bad))
+
+
+def _wire_blocks(support, n0, p):
+    """Reference payload: each block as one little-endian integer."""
+    blocks = [0] * n0
+    for pos in support:
+        blocks[pos // p] |= 1 << (pos % p)
+    nb = (p + 63) // 64 * 8
+    return b"".join(b.to_bytes(nb, "little") for b in blocks)
+
+
+@pytest.mark.parametrize("p", [5, 13, 63, 64, 65, 127, 128])
+def test_packed_vector_roundtrip(p):
+    rng = np.random.default_rng(p)
+    for n0 in (1, 2, 5):
+        for density in (0.0, 0.2, 0.5, 1.0):
+            n = n0 * p
+            sup = np.flatnonzero(rng.random(n) < density)
+            v = PackedVector.from_support(n0, p, rng.permutation(sup))
+            assert v.words == _wire_blocks(sup.tolist(), n0, p)
+            assert v.support == tuple(sup.tolist())
+            assert np.array_equal(v.positions(), sup)
+            assert v.weight == len(v.support)
+            assert v.length == n
+            assert PackedVector(n0, p, v.words) == v
+        if p % 64:
+            # the lowest padding bit of every block is refused
+            for b in range(n0):
+                bad = bytearray(v.words)
+                bad[b * len(v.words) // n0 + p // 8] |= 1 << (p % 8)
+                with pytest.raises(DimensionError):
+                    PackedVector(n0, p, bytes(bad))
+
+
+@pytest.mark.parametrize("name", ["a3", "b6"])
+def test_signature_blob_roundtrip(name):
+    prm = get_instance(name)
+    sk = private_key_from_seed(bytes(prm.seed_bytes), prm)
+    for i in range(3):
+        blob = encode_signature(sign(sk, b"m%d" % i, rng=Xof(bytes([i]))), prm)
+        sig, back_prm = decode_signature(blob)
+        assert back_prm == prm
+        assert sig.sigma.weight == len(sig.sigma.support)
+        assert encode_signature(sig, prm) == blob
 
 
 def test_at_rest_roundtrip(a3_key):

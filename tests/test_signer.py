@@ -9,7 +9,7 @@ from helpers import (dense_vec_mul, h_dense, kron_all_ones, support_to_int,
 from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.params import get_instance
-from ledasig.qc import DenseBitMatrix, SparseVector
+from ledasig.qc import DenseBitMatrix, PackedVector, SparseVector
 from ledasig.signer import (Signature, codeword_weight_floor,
                             cw_encode, gen_codeword, gen_error, hash_digest,
                             kernel_check, sign)
@@ -194,4 +194,4 @@ def test_sign_weight_bound_and_fresh_salt(toy29_key):
 
 def test_sign_rejects_bad_theta():
     with pytest.raises(ValueError):
-        Signature(SparseVector(10, ()), 1 << 64)
+        Signature(PackedVector.from_support(2, 5, ()), 1 << 64)

@@ -5,7 +5,7 @@ from ledasig import verify
 from ledasig.drbg import Xof
 from ledasig.errors import FormatError
 from ledasig.packed import COUNTERS
-from ledasig.qc import SparseVector
+from ledasig.qc import PackedVector
 from ledasig.signer import Signature, sign
 
 
@@ -25,8 +25,9 @@ def test_single_bit_flips_reject(toy29_key):
     support = set(sig.sigma.support)
     for pos in rng.choice(prm.n, size=50, replace=False):
         flipped = support ^ {int(pos)}
-        bad = Signature(SparseVector(prm.n, tuple(sorted(flipped))),
-                        sig.theta_star)
+        bad = Signature(
+            PackedVector.from_support(prm.n0, prm.p, sorted(flipped)),
+            sig.theta_star)
         assert not verify(pk, msg, bad)
 
 
@@ -40,7 +41,8 @@ def test_message_corruption_rejects(toy29_key):
 def test_weight_gate_short_circuits(toy29_key):
     _, pk = toy29_key
     prm = pk.params
-    all_ones = Signature(SparseVector(prm.n, tuple(range(prm.n))), 7)
+    all_ones = Signature(
+        PackedVector.from_support(prm.n0, prm.p, range(prm.n)), 7)
     before = COUNTERS["syndrome_products"]
     assert not verify(pk, b"m", all_ones)
     assert COUNTERS["syndrome_products"] == before
@@ -49,7 +51,7 @@ def test_weight_gate_short_circuits(toy29_key):
 def test_bad_lengths_raise_format_error(toy29_key):
     _, pk = toy29_key
     with pytest.raises(FormatError):
-        verify(pk, b"m", Signature(SparseVector(5, (1,)), 0))
+        verify(pk, b"m", Signature(PackedVector.from_support(1, 5, (1,)), 0))
 
 
 def test_salt_tamper_rejects(toy29_key):
