@@ -6,9 +6,10 @@ followed by the payload.  Circulant blocks are packed little-endian into
 convention reproduces the reference public-key and signature sizes for
 all nine instances.
 
-A signature's sigma is held in memory as exactly its wire payload (a
-PackedVector), so encoding copies its words and decoding checks only the
-length and that no block has a bit set at or above p.
+A public key (PublicKey.words) and a signature's sigma (a PackedVector)
+are held in memory as exactly their wire payloads, so encoding copies
+their words and decoding checks only the length and that no block has a
+bit set at or above p.
 
 Payload sizes:
   public key   r0 * n0 * ceil(p/64) * 8
@@ -29,12 +30,14 @@ import os
 import struct
 import tempfile
 
+import numpy as np
+
 from .errors import DimensionError, FormatError, IntegrityError, Singular
 from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
                      build_public_key, compute_d, private_key_from_seed)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
 from .qc import (DenseBitMatrix, PackedVector, QcMatrix, dense_invert,
-                 inverse_int, mask_of)
+                 inverse_int)
 from .signer import Signature
 
 MAGIC = b"LSG1"
@@ -87,34 +90,20 @@ def private_key_at_rest_bytes(params: SysParams) -> int:
 
 
 def encode_public_key(pk: PublicKey) -> bytes:
-    prm = pk.params
-    nb = prm.block_bytes
-    parts = [_header(KIND_PUBLIC, prm)]
-    for row in pk.hp.blocks:
-        for blk in row:
-            parts.append(blk.to_bytes(nb, "little"))
-    return b"".join(parts)
+    return _header(KIND_PUBLIC, pk.params) + pk.words.tobytes()
 
 
 def decode_public_key(data: bytes) -> PublicKey:
     prm = _parse_header(data, KIND_PUBLIC)
-    nb = prm.block_bytes
     expected = 6 + public_key_bytes(prm)
     if len(data) != expected:
         raise FormatError(f"public key must be {expected} bytes, got {len(data)}")
-    mask = mask_of(prm.p)
-    rows = []
-    off = 6
-    for _ in range(prm.r0):
-        row = []
-        for _ in range(prm.n0):
-            v = int.from_bytes(data[off:off + nb], "little")
-            if v & ~mask:
-                raise FormatError("coefficients set beyond x^(p-1)")
-            row.append(v)
-            off += nb
-        rows.append(tuple(row))
-    return PublicKey(prm, QcMatrix(prm.r0, prm.n0, prm.p, tuple(rows)))
+    # a copy: the key must not follow later writes to a mutable buffer
+    words = np.frombuffer(data, dtype="<u8", offset=6).copy()
+    try:
+        return PublicKey(prm, words.reshape(prm.r0, prm.n0, -1))
+    except DimensionError:
+        raise FormatError("coefficients set beyond x^(p-1)") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ Signing applies S to sparse supports (apply_s), which packs S . x^T
 straight into the signature's wire layout.  The public key needs S^-1
 only through S^-T = PiLambda . (E^-T x I_p) . PiPhi, which has the shape
 of S, so build_public_key runs the same chain with E^-T in place of E.
+It packs each block row of H' straight into PublicKey.words, the key's
+wire payload and the one form it is held in.
 
 Everything is derived deterministically from a seed: the sampler call
 order below is fixed and replaying a seed reproduces the key bit for bit.
@@ -25,12 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from .drbg import Xof
-from .errors import NotInvertible, Singular
+from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
 from .qc import (DenseBitMatrix, GenPermutation, PackedVector, QcMatrix,
                  dense_invert, genperm_from_left, genperm_from_right,
-                 inverse_int, invert_perm, transpose_int)
+                 inverse_int, invert_perm, pack_blocks, padding_clear,
+                 transpose_int)
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,29 @@ class PrivateKey:
 
 @dataclass(eq=False)
 class PublicKey:
+    """H' as its wire payload, read-only: words[i, j] is block (i, j)."""
+
     params: SysParams
-    hp: QcMatrix               # r0 x n0 grid of dense circulant blocks
+    words: np.ndarray          # (r0, n0, ceil(p/64)) '<u8'
     _packed: PackedQc | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        prm = self.params
+        if self.words.shape != (prm.r0, prm.n0, prm.block_bytes // 8):
+            raise DimensionError("key is not r0 x n0 blocks of ceil(p/64) words")
+        if not padding_clear(self.words, prm.p):
+            raise DimensionError("bit set at or above p in a block")
+        self.words.flags.writeable = False
 
     @property
     def packed(self) -> PackedQc:
         if self._packed is None:
-            self._packed = PackedQc(self.hp)
+            self._packed = PackedQc(self.words, self.params.p)
         return self._packed
 
     def __eq__(self, other):
-        return (isinstance(other, PublicKey)
-                and self.params == other.params and self.hp == other.hp)
+        return (isinstance(other, PublicKey) and self.params == other.params
+                and np.array_equal(self.words, other.words))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,7 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     e_t = transpose_int(sk.s.e_inv, n0)
 
     # all-ones flags of (K x 1_{pxp}) H, then PiPhi, E^-T and PiLambda
-    nzv =np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
+    nzv = np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
                    dtype=np.uint8)
     flags = np.empty((r0, n0), dtype=np.uint8)
     flags[:, :k0] = (kmat @ nzv.T) & 1
@@ -257,7 +270,7 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     ones = np.empty((r0, n0), dtype=bool)
     ones[:, sk.pi_lambda.block_perm] = mixed
 
-    rows = []
+    words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
     for i, ki in enumerate(invert_perm(sk.q.perm)):
         # first row of block row i of M^T H: one coefficient per block
         rot = -sk.q.psi_rots[i]
@@ -266,9 +279,8 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
         sup.append((k0 + ki) * p + rot % p)
         bits = _scramble(sk, e_t, np.array(sup, dtype=np.int64)).reshape(n0, p)
         bits ^= ones[i][:, None]
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        rows.append(tuple(int.from_bytes(b.tobytes(), "little") for b in packed))
-    return PublicKey(prm, QcMatrix(r0, n0, p, tuple(rows)))
+        words[i] = pack_blocks(bits)
+    return PublicKey(prm, words)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,30 @@
 """Word-packed syndrome computation for dense quasi-cyclic matrices.
 
-The public-key action H' . sigma^T is evaluated by grouping the set bits
-of sigma by their offset inside a circulant block: every offset t selects
-a subset of block columns, whose packed rows are XOR-reduced and then
-shifted by t into an unreduced 2p-bit accumulator, folded once at the end.
+The matrix is held as its wire rows: by_row[i, j] is the polynomial
+h_ij of the first row of circulant (i, j), in ceil(p/64) little-endian
+words.  That circulant acts on a column block v as T(h_ij) * v, where T
+sends coefficient c to (-c) mod p.  T is the ring automorphism
+x -> x^-1, so
+
+    sum_j T(h_ij) * v_j = T(sum_j h_ij * T(v_j)),
+
+and the product needs no transposed copy of the key:
+
+- a set bit of sigma at offset t inside block j enters as x^((-t) mod p);
+- the bits are grouped by that negated offset; each group selects a
+  subset of block columns, whose key rows are XOR-reduced and then
+  shifted into an unreduced 2p-bit accumulator row per block row;
+- at the end the r0 accumulator rows are folded mod x^p + 1 and mapped
+  through T.
 
 Cost model.  The work is weight(sigma) * r0 * ceil(p/64) word XORs on
 every path, so what separates the paths is memory traffic and the number
 of Python-level numpy calls.  A key row (one block column, all r0 block
 rows) is r0 * ceil(p/64) * 8 bytes: 1.4 KB for a3, 54 KB for gamma3.
 
-A numba kernel parallelized over block rows is used when available.  The
-numpy path has two regimes that compute the identical accumulation:
+A numba kernel parallelized over block rows is used when available; it
+reads by_row and the same negated offsets.  The numpy path reads by_col
+and has two regimes that compute the identical accumulation:
 
 - grouped: one fancy-index gather of the selected key rows per offset,
   XOR-reduced in one call.  This is about p numpy calls per product,
@@ -46,8 +59,6 @@ import warnings
 
 import numpy as np
 
-from .qc import QcMatrix, mask_of
-
 try:
     # the TBB-version probe warns on some hosts; the omp/workqueue
     # fallback layers are fine for this workload
@@ -70,8 +81,6 @@ _WIDE_GROUP_BYTES = 768 << 10
 # accumulator tile of the in-place path: small enough to stay in the
 # per-core L2 cache while something else uses it too (module docstring)
 _TILE_BYTES = 256 << 10
-# block serialization buffer per step of PackedQc._build
-_BUILD_CHUNK_BYTES = 1 << 22
 
 
 if _HAVE_NUMBA:
@@ -102,36 +111,6 @@ if _HAVE_NUMBA:
                         v = u[wd]
                         acc[i, q + wd] ^= v << s
                         acc[i, q + wd + 1] ^= v >> sr
-
-
-# swap masks that reverse the bit order inside every byte of a word
-_BIT_SWAPS = tuple(
-    (np.uint64(k), np.uint64(int(("0" * k + "1" * k) * (32 // k), 2)))
-    for k in (1, 2, 4))
-
-
-def _transpose_words(words, p):
-    """Words of transpose_int(block, p) for each row of block words.
-
-    Reversing the word order, the bytes of each word and the bits of each
-    byte sends coefficient i to L-1-i, L = 64*nw.  A right shift by
-    d = L-1-p then puts i at p-i, and bit p (coefficient 0) moves to bit 0.
-    """
-    w = np.ascontiguousarray(words[:, ::-1]).byteswap()
-    for k, m in _BIT_SWAPS:
-        w = ((w >> k) & m) | ((w & m) << k)
-    d = 64 * w.shape[1] - 1 - p
-    if d < 0:  # p = L: rotate the L-bit value left by one
-        return (w << np.uint64(1)) | np.roll(w >> np.uint64(63), 1, axis=1)
-    if d:
-        lo = w >> np.uint64(d)
-        lo[:, :-1] |= w[:, 1:] << np.uint64(64 - d)
-        w = lo
-    q, s = divmod(p, 64)
-    bit = (w[:, q] >> np.uint64(s)) & np.uint64(1)
-    w[:, q] ^= bit << np.uint64(s)
-    w[:, 0] |= bit
-    return w
 
 
 def _offset_groups(blk, off):
@@ -206,33 +185,26 @@ def _accumulate_numpy(ht_by_col, blk_sorted, offsets, starts, acc, nw):
 
 
 class PackedQc:
-    """Transposed, word-packed image of a QC matrix for column actions."""
+    """Wire rows of a QC matrix and their column-major copy.
 
-    def __init__(self, mat: QcMatrix, use_numba: bool | None = None):
+    blocks is a (rows_blocks, cols_blocks, words) array of wire-layout
+    blocks whose bits at and above p are clear.  by_row is that array
+    itself, not a copy; row j of by_col is block column j, its
+    rows_blocks blocks side by side.
+    """
+
+    def __init__(self, blocks: np.ndarray, p: int,
+                 use_numba: bool | None = None):
         if use_numba and not _HAVE_NUMBA:
             raise ValueError("use_numba=True but numba is not installed")
-        self.rows_blocks = mat.rows_blocks
-        self.cols_blocks = mat.cols_blocks
-        self.p = mat.p
-        self.words = (mat.p + 63) // 64
+        r0, n0, nw = blocks.shape
+        self.rows_blocks, self.cols_blocks, self.words = r0, n0, nw
+        self.p = p
         self.use_numba = _HAVE_NUMBA if use_numba is None else use_numba
-        self._build(mat)
-
-    def _build(self, mat: QcMatrix):
-        p, nw = self.p, self.words
-        r0, n0 = self.rows_blocks, self.cols_blocks
-        packed = np.empty((r0, n0, nw), dtype=np.uint64)
-        chunk = max(1, _BUILD_CHUNK_BYTES // (n0 * nw * 8))
-        for lo in range(0, r0, chunk):
-            hi = min(r0, lo + chunk)
-            buf = b"".join(
-                b.to_bytes(nw * 8, "little")
-                for row in mat.blocks[lo:hi] for b in row)
-            words = np.frombuffer(buf, dtype="<u8").reshape(-1, nw)
-            packed[lo:hi] = _transpose_words(words, p).reshape(hi - lo, n0, nw)
-        self.by_row = packed
+        self.by_row = blocks
         self.by_col = np.ascontiguousarray(
-            packed.transpose(1, 0, 2).reshape(n0, r0 * nw))
+            blocks.transpose(1, 0, 2)).reshape(n0, r0 * nw)
+        self.by_col.flags.writeable = False
 
     def mul_support(self, support) -> int:
         """H . v^T for v given by its support; returns packed r-bit int."""
@@ -241,19 +213,16 @@ class PackedQc:
         pos = np.asarray(support, dtype=np.int64)
         acc = np.zeros((r0, 2 * nw + 1), dtype=np.uint64)
         if len(pos):
-            blk_sorted, offsets, starts = _offset_groups(pos // p, pos % p)
+            # bit t of a block enters as x^((-t) mod p) (module docstring)
+            blk_sorted, offsets, starts = _offset_groups(pos // p, -pos % p)
             if self.use_numba:
                 _accumulate_numba(self.by_row, blk_sorted, offsets, starts, acc)
             else:
                 _accumulate_numpy(self.by_col, blk_sorted, offsets, starts,
                                   acc, nw)
-        mask = mask_of(p)
-        out = 0
-        shift = 0
-        for i in range(r0):
-            x = int.from_bytes(acc[i].tobytes(), "little")
-            x = (x & mask) ^ (x >> p)
-            x = (x & mask) ^ (x >> p)
-            out |= x << shift
-            shift += p
-        return out
+        # fold each row mod x^p + 1, then send coefficient c to (-c) mod p
+        bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
+        folded = bits[:, :p] ^ bits[:, p:2 * p]
+        out = np.roll(folded[:, ::-1], 1, axis=1)
+        return int.from_bytes(
+            np.packbits(out, bitorder="little").tobytes(), "little")

@@ -95,6 +95,25 @@ def circulant_rows(a: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# wire layout of circulant blocks: ceil(p/64) little-endian 64-bit words,
+# coefficient i at bit i, the bits at and above p clear
+
+
+def pack_blocks(bits: np.ndarray) -> np.ndarray:
+    """Words of a (..., p) array of 0/1 coefficients, shape (..., ceil(p/64))."""
+    p = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + ((p + 63) // 64 * 8,), dtype=np.uint8)
+    out[..., :(p + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def padding_clear(words: np.ndarray, p: int) -> bool:
+    """True when no block of words (..., ceil(p/64)) has a bit at or above p."""
+    used = p - 64 * (words.shape[-1] - 1)   # bits of a block's last word below p
+    return used == 64 or not (words[..., -1] >> np.uint64(used)).any()
+
+
+# ---------------------------------------------------------------------------
 # typed wrappers
 
 
@@ -151,17 +170,13 @@ class PackedVector:
         nw = (self.p + 63) // 64
         if len(self.words) != self.blocks * nw * 8:
             raise DimensionError("payload is not blocks x ceil(p/64) words")
-        used = self.p - 64 * (nw - 1)   # bits of a block's last word below p
-        if used < 64 and (self._array()[:, -1] >> np.uint64(used)).any():
+        if not padding_clear(self._array(), self.p):
             raise DimensionError("bit set at or above p in a block")
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "PackedVector":
         """Pack a (blocks, p) array of 0/1 coefficients."""
-        blocks, p = bits.shape
-        out = np.zeros((blocks, (p + 63) // 64 * 8), dtype=np.uint8)
-        out[:, :(p + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-        return cls(blocks, p, out.tobytes())
+        return cls(*bits.shape, pack_blocks(bits).tobytes())
 
     @classmethod
     def from_support(cls, blocks: int, p: int, support) -> "PackedVector":

@@ -122,6 +122,22 @@ def qc_vec_mul(a: QcMatrix, v: SparseVector) -> SparseVector:
     return SparseVector.from_int(out, a.rows_blocks * p)
 
 
+def words_to_qc(words: np.ndarray, p: int) -> QcMatrix:
+    """QcMatrix of an (r0, n0, ceil(p/64)) array of wire-layout blocks."""
+    rows_blocks, cols_blocks, _ = words.shape
+    return QcMatrix(rows_blocks, cols_blocks, p, tuple(
+        tuple(int.from_bytes(blk.tobytes(), "little")
+              for blk in row) for row in words))
+
+
+def qc_to_words(mat: QcMatrix) -> np.ndarray:
+    """Wire-layout block array of a QcMatrix, one block per int."""
+    nb = (mat.p + 63) // 64 * 8
+    buf = b"".join(b.to_bytes(nb, "little") for row in mat.blocks for b in row)
+    return np.frombuffer(buf, dtype="<u8").reshape(
+        mat.rows_blocks, mat.cols_blocks, -1)
+
+
 def qc_transpose(mat: QcMatrix) -> QcMatrix:
     return QcMatrix(
         mat.cols_blocks, mat.rows_blocks, mat.p,

@@ -10,7 +10,7 @@ from ledasig import (decode_private_key_expanded, decode_public_key,
                      encode_private_key_expanded, encode_public_key,
                      encode_signature, expand_private_key,
                      private_key_at_rest_bytes, public_key_bytes,
-                     signature_bytes)
+                     signature_bytes, verify)
 from ledasig.codec import expand_private_key_only
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError, FormatError, IntegrityError
@@ -66,6 +66,43 @@ def test_public_key_header_errors(a3_key):
         decode_public_key(blob[:5] + bytes([200]) + blob[6:])  # bad instance
     with pytest.raises(FormatError):
         decode_public_key(b"")
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_public_key_padding_bit_rejected_in_any_block(a3_key, where):
+    _, pk = a3_key
+    prm = pk.params
+    nblocks = prm.r0 * prm.n0
+    block = {"first": 0, "middle": nblocks // 2, "last": nblocks - 1}[where]
+    blob = encode_public_key(pk)
+    for bit in range(prm.p, 64 * (prm.block_bytes // 8)):
+        bad = bytearray(blob)
+        bad[6 + block * prm.block_bytes + bit // 8] |= 1 << (bit % 8)
+        with pytest.raises(FormatError):
+            decode_public_key(bytes(bad))
+
+
+def test_public_key_words_read_only(a3_key):
+    # the packed key reads the words in place, so they must not change
+    _, pk = a3_key
+    for key in (pk, decode_public_key(encode_public_key(pk))):
+        assert np.shares_memory(key.packed.by_row, key.words)
+        with pytest.raises(ValueError):
+            key.words[0, 0, 0] ^= 1
+        with pytest.raises(ValueError):
+            key.packed.by_col[0, 0] ^= 1
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_decoded_public_key_ignores_later_buffer_writes(a3_key, wrap):
+    sk, pk = a3_key
+    sig = sign(sk, b"m", rng=Xof(b"ro"))
+    buf = wrap(encode_public_key(pk))
+    key = decode_public_key(buf)
+    buf[6:] = bytes(len(buf) - 6)
+    assert key == pk
+    assert verify(key, b"m", sig)
 
 
 def test_signature_roundtrip_many(a3_key):

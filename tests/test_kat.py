@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from helpers import words_to_qc
 from ledasig import (encode_private_key_at_rest, encode_private_key_expanded,
                      encode_public_key, encode_signature, get_instance,
                      keypair_from_seed, sign, toy_params)
@@ -73,6 +74,7 @@ def test_kat_signatures(instance_key):
 
 def test_kat_toy29():
     sk, pk = keypair_from_seed(b"\x2a" * 32, toy_params("toy29"))
-    assert _sha256(repr(pk.hp.blocks).encode()) == TOY29_HP
+    hp = words_to_qc(pk.words, pk.params.p)
+    assert _sha256(repr(hp.blocks).encode()) == TOY29_HP
     sig = sign(sk, b"known answer", rng=Xof(b"kat-sign-toy29"))
     assert _sha256(repr(sig.sigma.support).encode()) == TOY29_SIGMA

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import dense_vec_mul, qc_vec_mul
+from helpers import dense_vec_mul, qc_to_words, qc_vec_mul
 from ledasig import packed
 from ledasig.packed import _HAVE_NUMBA, PackedQc
-from ledasig.qc import QcMatrix, SparseVector, transpose_int
+from ledasig.qc import QcMatrix, SparseVector
 
 
 def rnd_qc(rng, rb, cb, p):
@@ -14,12 +14,16 @@ def rnd_qc(rng, rb, cb, p):
         [[rng.getrandbits(p) for _ in range(cb)] for _ in range(rb)], p)
 
 
+def packed_qc(mat, use_numba=None):
+    return PackedQc(qc_to_words(mat), mat.p, use_numba)
+
+
 @pytest.mark.parametrize("p", [5, 13, 64, 65, 127, 130])
 def test_packed_matches_dense_and_qc(p):
     rng = random.Random(p)
     mat = rnd_qc(rng, 3, 4, p)
     dense = mat.to_dense_rows()
-    packed_np = PackedQc(mat, use_numba=False)
+    packed_np = packed_qc(mat, use_numba=False)
     for trial in range(8):
         sup = tuple(sorted(rng.sample(range(4 * p), rng.randint(0, 4 * p))))
         v = SparseVector(4 * p, sup)
@@ -33,8 +37,8 @@ def test_packed_matches_dense_and_qc(p):
 def test_numba_and_numpy_paths_agree(p):
     rng = random.Random(p + 7)
     mat = rnd_qc(rng, 4, 5, p)
-    fast = PackedQc(mat, use_numba=True)
-    slow = PackedQc(mat, use_numba=False)
+    fast = packed_qc(mat, use_numba=True)
+    slow = packed_qc(mat, use_numba=False)
     for _ in range(6):
         sup = tuple(sorted(rng.sample(range(5 * p), rng.randint(1, 5 * p))))
         assert fast.mul_support(sup) == slow.mul_support(sup)
@@ -43,7 +47,7 @@ def test_numba_and_numpy_paths_agree(p):
 def test_empty_support_gives_zero():
     rng = random.Random(0)
     mat = rnd_qc(rng, 2, 2, 11)
-    assert PackedQc(mat).mul_support(()) == 0
+    assert packed_qc(mat).mul_support(()) == 0
 
 
 def _only_regime(monkeypatch, regime):
@@ -68,7 +72,7 @@ def test_numpy_regimes_match_dense(monkeypatch, p, regime, tile_rows):
     rng = random.Random(1000 + p)
     mat = rnd_qc(rng, 3, 4, p)
     dense = mat.to_dense_rows()
-    pq = PackedQc(mat, use_numba=False)
+    pq = packed_qc(mat, use_numba=False)
     _only_regime(monkeypatch, regime)
     if tile_rows is not None:
         monkeypatch.setattr(packed, "_TILE_BYTES",
@@ -83,7 +87,7 @@ def test_numpy_regimes_agree_full_shape(monkeypatch):
     # gamma3's shape (r0 = 139, n0 = 293, p = 3121) at sigma's density
     rng = random.Random(3121)
     mat = rnd_qc(rng, 139, 293, 3121)
-    pq = PackedQc(mat, use_numba=False)
+    pq = packed_qc(mat, use_numba=False)
     n = 293 * 3121
     sup = np.flatnonzero(
         np.random.default_rng(3121).random(n) < 0.24).tolist()
@@ -96,19 +100,20 @@ def test_numpy_regimes_agree_full_shape(monkeypatch):
 
 @pytest.mark.parametrize("p", [63, 64, 65, 127, 128, 192])
 def test_by_row_holds_transposed_blocks(p):
+    # by_row is the wire array itself; by_col holds the transposed block grid
     rng = random.Random(p)
-    mat = rnd_qc(rng, 2, 3, p)
-    pq = PackedQc(mat, use_numba=False)
+    words = qc_to_words(rnd_qc(rng, 2, 3, p))
+    pq = PackedQc(words, p, use_numba=False)
+    assert np.shares_memory(pq.by_row, words)
     nw = (p + 63) // 64
     for i in range(2):
         for j in range(3):
-            want = transpose_int(mat.blocks[i][j], p).to_bytes(nw * 8, "little")
-            assert pq.by_row[i, j].tobytes() == want
-            assert pq.by_col[j, i * nw:(i + 1) * nw].tobytes() == want
+            assert np.array_equal(pq.by_col[j, i * nw:(i + 1) * nw],
+                                  words[i, j])
 
 
 @pytest.mark.skipif(_HAVE_NUMBA, reason="numba installed")
 def test_numba_backend_without_numba_fails_fast():
     mat = rnd_qc(random.Random(0), 2, 2, 11)
     with pytest.raises(ValueError, match="numba"):
-        PackedQc(mat, use_numba=True)
+        packed_qc(mat, use_numba=True)
