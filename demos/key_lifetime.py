@@ -11,7 +11,9 @@ is the lifetime that matters here.
 
 import numpy as np
 
-from ledasig.estimator import (_log2_graph_cover_prob,
+from ledasig.estimator import (_coincidence_separation,
+                               _log2_graph_cover_prob,
+                               _pair_coincidence_probs,
                                signature_bit_probability, stat_lifetime)
 from ledasig.params import get_instance
 
@@ -26,9 +28,11 @@ print(f"\nlifetime ignoring the block structure : {plain:,} signatures")
 print(f"lifetime with the quasi-cyclic speedup: {qc:,} signatures\n")
 
 print("  N collected   log2 P[full leak]   (quasi-cyclic model)")
+rhos = _pair_coincidence_probs(params)
 with np.errstate(divide="ignore"):
     for n_sigs in (500, 1000, 2000, qc, qc + 1, 4000, 8000):
-        val = _log2_graph_cover_prob(params, n_sigs, True)
+        separation = _coincidence_separation(params, n_sigs, rhos)
+        val = _log2_graph_cover_prob(params, separation, True)
         marker = "  <- largest N below the target" if n_sigs == qc else ""
         print(f"  {n_sigs:11,d}   {val:12.1f}{marker}")
 

@@ -49,6 +49,25 @@ def _lb(n: float, k: float) -> float:
             - math.lgamma(n - k + 1)) / LN2
 
 
+def _lb_array(n, k) -> np.ndarray:
+    """_lb over broadcast integer arrays, bit for bit.
+
+    math.lgamma is mapped over the arguments: scipy's gammaln rounds
+    differently on about half the integers in range, which would move
+    the reported work factors in their last bits.
+    """
+    n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k))
+    out = np.full(n.shape, NEG_INF)
+    ok = (k >= 0) & (n >= 0) & (k <= n)
+    n, k = n[ok], k[ok]
+    out[ok] = (_lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)) / LN2
+    return out
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
+
+
 def log2_sum(values) -> float:
     """log2 of a sum of 2^v terms, max-shifted for stability."""
     vals = [v for v in values if v != NEG_INF]
@@ -65,10 +84,20 @@ def log2_sum(values) -> float:
 def _pair_and_dist(n: int, w1: int, w2: int) -> np.ndarray:
     """log2 P[wt(v1 & v2) = x] over x = 0..min(w1, w2)."""
     out = np.full(min(w1, w2) + 1, NEG_INF)
-    denom = _lb(n, w2)
-    for x in range(max(0, w1 + w2 - n), min(w1, w2) + 1):
-        out[x] = _lb(w1, x) + _lb(n - w1, w2 - x) - denom
+    x = np.arange(max(0, w1 + w2 - n), min(w1, w2) + 1)
+    out[x] = _lb_array(w1, x) + _lb_array(n - w1, w2 - x) - _lb(n, w2)
     return out
+
+
+def _and_step(n: int, dist: np.ndarray, w: int, keep: int) -> np.ndarray:
+    """AND one more independent weight-w vector into a weight
+    distribution; the result keeps weights 0..keep-1."""
+    new = np.full(len(dist), NEG_INF)
+    for x in np.flatnonzero(dist != NEG_INF).tolist():
+        pair = _pair_and_dist(n, x, w)
+        stop = min(len(pair), len(new))
+        new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
+    return new[:keep]
 
 
 def and_weight_dist(n: int, weights) -> np.ndarray:
@@ -76,21 +105,18 @@ def and_weight_dist(n: int, weights) -> np.ndarray:
     weights = list(weights)
     dist = np.full(weights[0] + 1, NEG_INF)
     dist[weights[0]] = 0.0
+    keep = max(1, min(weights) + 1)
     for w in weights[1:]:
-        new = np.full(len(dist), NEG_INF)
-        for x in range(len(dist)):
-            if dist[x] == NEG_INF:
-                continue
-            pair = _pair_and_dist(n, x, w)
-            stop = min(len(pair), len(new))
-            new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
-        dist = new[:max(1, min(weights) + 1)]
+        dist = _and_step(n, dist, w, keep)
     return dist
 
 
 @_cache
 def _iterated_and_dist(n: int, w: int, count: int) -> np.ndarray:
-    return and_weight_dist(n, [w] * count)
+    """and_weight_dist(n, [w] * count), one step on from count - 1."""
+    if count == 1:
+        return and_weight_dist(n, [w])
+    return _and_step(n, _iterated_and_dist(n, w, count - 1), w, w + 1)
 
 
 def p_and(n: int, weights, y: int) -> float:
@@ -99,31 +125,32 @@ def p_and(n: int, weights, y: int) -> float:
     return float(dist[y]) if y < len(dist) else NEG_INF
 
 
-def _pair_xor_dist(n: int, w1: int, w2: int) -> np.ndarray:
-    """log2 P[wt(v1 ^ v2) = y] over y = 0..n (parity-constrained)."""
-    out = np.full(n + 1, NEG_INF)
-    denom = _lb(n, w2)
-    for y in range(abs(w1 - w2), min(w1 + w2, n) + 1):
-        if (w1 + w2 - y) % 2:
-            continue
-        x = (w1 + w2 - y) // 2
-        out[y] = _lb(w1, x) + _lb(n - w1, w2 - x) - denom
-    return out
+def _xor_step(n: int, dist: np.ndarray, w: int) -> np.ndarray:
+    """XOR one more independent weight-w vector into a weight
+    distribution over 0..n.
+
+    Only the live weights x are visited, in increasing order; a weight-x
+    vector overlapping the new one in i positions gives weight
+    x + w - 2i.
+    """
+    new = np.full(n + 1, NEG_INF)
+    i = np.arange(w + 1)
+    denom = _lb(n, w)
+    for x in np.flatnonzero(dist != NEG_INF).tolist():
+        pair = _lb_array(x, i) + _lb_array(n - x, w - i) - denom
+        live = pair != NEG_INF
+        y = (x + w - 2 * i)[live]
+        new[y] = np.logaddexp2(new[y], dist[x] + pair[live])
+    return new
 
 
 def xor_weight_dist(n: int, weights) -> np.ndarray:
+    """log2 distribution of wt(v1 ^ ... ^ vm) over 0..n."""
     weights = list(weights)
     dist = np.full(n + 1, NEG_INF)
     dist[weights[0]] = 0.0
     for w in weights[1:]:
-        new = np.full(n + 1, NEG_INF)
-        for x in range(n + 1):
-            if dist[x] == NEG_INF:
-                continue
-            pair = _pair_xor_dist(n, x, w)
-            live = np.flatnonzero(pair != NEG_INF)
-            new[live] = np.logaddexp2(new[live], dist[x] + pair[live])
-        dist = new
+        dist = _xor_step(n, dist, w)
     return dist
 
 
@@ -308,10 +335,14 @@ def lca_wf(params: SysParams, max_combinations: int = 8) -> LcaEstimate:
     w, r, k, m_g = params.w, params.r, params.k, params.m_g
     w_sigma = (params.w + params.w_c) * params.m_S
     best, best_l = math.inf, 2
+    # XOR distributions of ell syndromes and of ell information words,
+    # extended by one vector per ell
+    syndrome, info = xor_weight_dist(r, [w]), xor_weight_dist(k, [m_g])
     for ell in range(2, max_combinations + 1):
-        p_syndrome = p_xor(r, [w] * ell, w)
-        dist = xor_weight_dist(k, [m_g] * ell)
-        p_info = log2_sum(dist[:m_g + 1])
+        syndrome = _xor_step(r, syndrome, w)
+        info = _xor_step(k, info, m_g)
+        p_syndrome = float(syndrome[w])
+        p_info = log2_sum(info[:m_g + 1])
         if p_syndrome == NEG_INF or p_info == NEG_INF:
             continue
         cost = math.log2((ell - 1) * w + (ell - 1) * w_sigma)
@@ -338,8 +369,11 @@ class SiaInputs:
 
     @property
     def l_col(self) -> int:
-        return int(math.floor(self.params.m_S * self.params.r
-                              / self.params.n + 0.5))
+        return _l_col(self.params)
+
+
+def _l_col(params: SysParams) -> int:
+    return int(math.floor(params.m_S * params.r / params.n + 0.5))
 
 
 @dataclass(frozen=True)
@@ -373,34 +407,43 @@ def _parity_sum(n_pool: int, ones: int, draws: int, parity: int,
     return float(2.0 ** total) if total != NEG_INF else 0.0
 
 
-def sia_probabilities(params: SysParams, inputs: SiaInputs) -> SiaProbabilities:
-    if inputs.w_l < inputs.d_b:
-        raise ValueError("intersected weight below the distance of B's code")
-    n, r, w = params.n, params.r, params.w
-    m_s, w_c = params.m_S, params.w_c
-    ell, w_l = inputs.collected, inputs.w_l
-    lcol = inputs.l_col
-    wlw = inputs.w_l_wide
+def _codeword_row_parities(params: SysParams) -> tuple[float, float, float]:
+    """P[even overlap with the codeword rows] for a kept I-bit, a flipped
+    I-bit and a J-bit; these depend on the parameters only."""
+    n, m_s, w_c = params.n, params.m_S, params.w_c
+    return (_parity_sum(n - 1, m_s - 1, w_c, 0),
+            _parity_sum(n - 1, m_s - 1, w_c - 1, 0),
+            _parity_sum(n - 1, m_s, w_c, 0))
 
+
+def _bit_probabilities(params: SysParams, w_l: int, rows
+                       ) -> tuple[float, float, float, float]:
+    """(p_i1, p_i, p_j1, p_j) for intersected weight w_l, given the
+    codeword-row parities `rows`."""
+    n, r, w, w_c = params.n, params.r, params.w, params.w_c
+    lcol = _l_col(params)
+    p_i2_keep, p_i2_flip, p_i2_j = rows
     # survival of a tracked set bit through the sum of w syndrome-selected
-    # rows (even overlaps keep it) with column weight lcol in the last r rows
+    # rows (even overlaps keep it) with column weight lcol in the last r
+    # rows; the codeword rows keep it on an even selection
     p_i1 = _parity_sum(r - w_l, lcol - 1, w - w_l, 0)
-    # effect of the codeword rows: even selections keep the bit
-    def p_even_rows(x, y):
-        return _parity_sum(n - 1, y, x, 0)
-    p_i2_keep = p_even_rows(w_c, m_s - 1)
-    p_i2_flip = p_even_rows(w_c - 1, m_s - 1)
     frac = w_c / n
     p_i = ((p_i1 * p_i2_keep + (1 - p_i1) * (1 - p_i2_keep)) * (1 - frac)
            + (p_i1 * (1 - p_i2_flip) + (1 - p_i1) * p_i2_flip) * frac)
     p_j1 = _parity_sum(r - w_l, lcol, w - w_l, 1)
-    p_i2_j = p_even_rows(w_c, m_s)
     p_j = p_j1 * p_i2_j + (1 - p_j1) * (1 - p_i2_j)
+    return p_i1, p_i, p_j1, p_j
 
-    pi_counts = [_lb(ell, x) + x * _safe_log2(p_i)
-                 + (ell - x) * _safe_log2(1 - p_i) for x in range(ell + 1)]
-    pj_counts = [_lb(ell, x) + x * _safe_log2(p_j)
-                 + (ell - x) * _safe_log2(1 - p_j) for x in range(ell + 1)]
+
+def _count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
+    """(pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j) over ell pairs for
+    wlw tracked I-bits: see SiaProbabilities."""
+    log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
+    log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
+    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
+                 for x in range(ell + 1)]
+    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
+                 for x in range(ell + 1)]
 
     # tails: P[all w'_L I-bits >= x (one exactly x)], P[all n-w'_L J-bits <= x]
     pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 2)]
@@ -414,9 +457,20 @@ def sia_probabilities(params: SysParams, inputs: SiaInputs) -> SiaProbabilities:
 
     p_i_ge_j = log2_sum(
         pj_le[i] + pi_ge[i + 1] for i in range(ell) if pi_ge[i + 1] != NEG_INF)
+    return pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j
+
+
+def sia_probabilities(params: SysParams, inputs: SiaInputs) -> SiaProbabilities:
+    if inputs.w_l < inputs.d_b:
+        raise ValueError("intersected weight below the distance of B's code")
+    ell, w_l = inputs.collected, inputs.w_l
+    rows = _codeword_row_parities(params)
+    p_i1, p_i, p_j1, p_j = _bit_probabilities(params, w_l, rows)
+    pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j = _count_tails(
+        params.n, ell, inputs.w_l_wide, p_i, p_j)
     p_and = p_and_intersection(params, ell, w_l)
     return SiaProbabilities(
-        p_i1=p_i1, p_i2_keep=p_i2_keep, p_i2_flip=p_i2_flip, p_i=p_i,
+        p_i1=p_i1, p_i2_keep=rows[0], p_i2_flip=rows[1], p_i=p_i,
         p_j1=p_j1, p_j=p_j,
         p_i_counts_log2=tuple(pi_counts), p_j_counts_log2=tuple(pj_counts),
         p_i_ge_log2=tuple(pi_ge), p_j_le_log2=tuple(pj_le),
@@ -470,22 +524,28 @@ def sia_wf(params: SysParams, d_b: int | None = None,
     w = params.w
     if max_w_l is None:
         max_w_l = w
+    rows = _codeword_row_parities(params)
+    bits = {w_l: _bit_probabilities(params, w_l, rows)
+            for w_l in range(d_b, max_w_l + 1)}
     best = (math.inf, 2, d_b)
     for ell in range(2, max_collected + 1):
-        for w_l in range(d_b, max_w_l + 1):
-            wf = _sia_wf_at(params, ell, w_l, d_b)
+        for w_l, (_, p_i, _, p_j) in bits.items():
+            p_igej = _count_tails(params.n, ell, params.m_S * w_l,
+                                  p_i, p_j)[-1]
+            wf = _sia_wf_at(params, ell, w_l,
+                            p_and_intersection(params, ell, w_l), p_igej)
             if wf < best[0]:
                 best = (wf, ell, w_l)
     return SiaEstimate(best[0], best[0] / 2.0, best[1], best[2])
 
 
-def _sia_wf_at(params: SysParams, ell: int, w_l: int, d_b: int) -> float:
+def _sia_wf_at(params: SysParams, ell: int, w_l: int, p_and_log2: float,
+               p_igej: float) -> float:
+    """Work factor at one (L, w_L) from sia_probabilities' p_and_log2 and
+    p_i_ge_j_log2."""
     w, r, n = params.w, params.r, params.n
-    probs = sia_probabilities(params, SiaInputs(ell, w_l, d_b, params))
-    p_and_log2 = probs.p_and_log2
     if p_and_log2 == NEG_INF:
         return math.inf
-    p_igej = probs.p_i_ge_j_log2
     if p_igej == NEG_INF:
         return math.inf
     wlw = params.m_S * w_l
@@ -560,22 +620,26 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
     return rho1, rho0
 
 
-def _binom_logpmf(count: int, prob: float) -> np.ndarray:
+def _binom_logpmfs(count: int, probs) -> list[np.ndarray]:
+    """Natural-log Binomial(count, prob) pmfs over x = 0..count, one per
+    prob, from one log(x!) array."""
     x = np.arange(count + 1, dtype=np.float64)
-    return (gammaln(count + 1) - gammaln(x + 1) - gammaln(count - x + 1)
-            + x * math.log(prob) + (count - x) * math.log1p(-prob))
+    log_fact = gammaln(x + 1)
+    return [log_fact[-1] - log_fact - log_fact[::-1]
+            + x * math.log(prob) + (count - x) * math.log1p(-prob)
+            for prob in probs]
 
 
-def _coincidence_separation(params: SysParams, collected: int
+def _coincidence_separation(params: SysParams, collected: int, rhos
                             ) -> tuple[float, float]:
     """(1 - rho_v, rho_v): probability that no/some pair from one column
-    of the scrambler beats every background pair count."""
-    rho1, rho0 = _pair_coincidence_probs(params)
+    of the scrambler beats every background pair count, given the pair
+    probabilities `rhos` of _pair_coincidence_probs."""
     n = params.n
     m2 = params.m_S * (params.m_S - 1) // 2
     n_bg = n * (n - 1) // 2 - n * m2
+    logpmf1, logpmf0 = _binom_logpmfs(collected, rhos)
 
-    logpmf1 = _binom_logpmf(collected, rho1)
     # natural-log CDFs, inclusive and exclusive
     cdf1_incl = np.logaddexp.accumulate(logpmf1)
     cdf1_incl = np.minimum(cdf1_incl, 0.0)
@@ -586,7 +650,6 @@ def _coincidence_separation(params: SysParams, collected: int
     pmf_max = np.exp(m2 * cdf1_incl) * (-np.expm1(
         np.where(delta == -np.inf, -np.inf, m2 * delta)))
 
-    logpmf0 = _binom_logpmf(collected, rho0)
     tail0 = np.logaddexp.accumulate(logpmf0[::-1])[::-1]
     tail0 = np.minimum(tail0, 0.0)      # log P[X0 >= x]
     with np.errstate(divide="ignore"):
@@ -600,10 +663,11 @@ def _coincidence_separation(params: SysParams, collected: int
     return q_v, rho_v
 
 
-def _log2_graph_cover_prob(params: SysParams, collected: int,
+def _log2_graph_cover_prob(params: SysParams, separation: tuple[float, float],
                            quasi_cyclic: bool) -> float:
-    """log2 P[the coincidence graph keeps an edge for every column]."""
-    q_v, rho_v = _coincidence_separation(params, collected)
+    """log2 P[the coincidence graph keeps an edge for every column], from
+    the (q_v, rho_v) of _coincidence_separation."""
+    q_v, rho_v = separation
     if quasi_cyclic:
         if rho_v <= 0.0:
             return NEG_INF
@@ -630,20 +694,26 @@ def stat_lifetime(params: SysParams, security_exponent: float
                   ) -> tuple[int, int]:
     """(N_lambda, N_lambda_qc): largest signature counts keeping the
     statistical attack success probability below 2^-lambda."""
+    rhos = _pair_coincidence_probs(params)
+    # both scans probe N = 1, 1024, 2048, ... before they part
+    separation = lru_cache(maxsize=None)(
+        lambda n: _coincidence_separation(params, n, rhos))
     plain = _scan_max_count(
-        lambda n: _log2_graph_cover_prob(params, n, False), security_exponent)
+        lambda n: _log2_graph_cover_prob(params, separation(n), False),
+        security_exponent)
     qc = _scan_max_count(
-        lambda n: _log2_graph_cover_prob(params, n, True), security_exponent)
+        lambda n: _log2_graph_cover_prob(params, separation(n), True),
+        security_exponent)
     return plain, qc
 
 
 def _scan_max_count(f_log2, lam: float, start: int = 1024) -> int:
     """Largest N with f(N) < -lam, by doubling bracket then bisection."""
     threshold = -lam
-    if f_log2(1) >= threshold:
-        return 0
     lo, hi = 1, start
     prev = f_log2(lo)
+    if prev >= threshold:
+        return 0
     while True:
         val = f_log2(hi)
         if val > prev + 1e-9 or val >= threshold:

@@ -4,7 +4,9 @@ Everything here expands matrices to dense row-int form, multiplies
 naively or applies a factor's inverse map on its own; it is only meant
 for toy-sized parameters.  The polynomial and quasi-cyclic products, the
 inverse application procedures for S and Q, and the transposed
-generalized-permutation map live here because only tests use them.
+generalized-permutation map live here because only tests use them.  So do
+the scalar AND / XOR weight-distribution loops that the estimator's array
+steps must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ import numpy as np
 
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
+from ledasig.estimator import NEG_INF, _lb
 from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
                             q_correction_mask)
 from ledasig.qc import (GenPermutation, QcMatrix, SparseVector,
@@ -369,3 +372,63 @@ def int_to_support(v: int) -> np.ndarray:
         out.append(low.bit_length() - 1)
         v ^= low
     return np.array(out, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# scalar weight distributions of independent fixed-weight vectors
+
+
+def _pair_and_dist_loop(n: int, w1: int, w2: int) -> np.ndarray:
+    """log2 P[wt(v1 & v2) = x] over x = 0..min(w1, w2), one x at a time."""
+    out = np.full(min(w1, w2) + 1, NEG_INF)
+    denom = _lb(n, w2)
+    for x in range(max(0, w1 + w2 - n), min(w1, w2) + 1):
+        out[x] = _lb(w1, x) + _lb(n - w1, w2 - x) - denom
+    return out
+
+
+def and_weight_dist_loop(n: int, weights) -> np.ndarray:
+    """log2 distribution of wt(v1 & ... & vm), scalar fold."""
+    weights = list(weights)
+    dist = np.full(weights[0] + 1, NEG_INF)
+    dist[weights[0]] = 0.0
+    for w in weights[1:]:
+        new = np.full(len(dist), NEG_INF)
+        for x in range(len(dist)):
+            if dist[x] == NEG_INF:
+                continue
+            pair = _pair_and_dist_loop(n, x, w)
+            stop = min(len(pair), len(new))
+            new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
+        dist = new[:max(1, min(weights) + 1)]
+    return dist
+
+
+def _pair_xor_dist_loop(n: int, w1: int, w2: int) -> np.ndarray:
+    """log2 P[wt(v1 ^ v2) = y] over y = 0..n (parity-constrained)."""
+    out = np.full(n + 1, NEG_INF)
+    denom = _lb(n, w2)
+    for y in range(abs(w1 - w2), min(w1 + w2, n) + 1):
+        if (w1 + w2 - y) % 2:
+            continue
+        x = (w1 + w2 - y) // 2
+        out[y] = _lb(w1, x) + _lb(n - w1, w2 - x) - denom
+    return out
+
+
+def xor_weight_dist_loop(n: int, weights) -> np.ndarray:
+    """log2 distribution of wt(v1 ^ ... ^ vm) over 0..n, scalar fold over
+    every weight 0..n."""
+    weights = list(weights)
+    dist = np.full(n + 1, NEG_INF)
+    dist[weights[0]] = 0.0
+    for w in weights[1:]:
+        new = np.full(n + 1, NEG_INF)
+        for x in range(n + 1):
+            if dist[x] == NEG_INF:
+                continue
+            pair = _pair_xor_dist_loop(n, x, w)
+            live = np.flatnonzero(pair != NEG_INF)
+            new[live] = np.logaddexp2(new[live], dist[x] + pair[live])
+        dist = new
+    return dist

@@ -11,7 +11,9 @@ The analysis lives in the decisions ledger.
 """
 
 import itertools
+import json
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -33,6 +35,9 @@ from ledasig.qc import (DenseBitMatrix, PackedVector, QcMatrix,
 from ledasig.signer import Signature, cw_encode, kernel_check, sign
 
 RNG_SEED = b"acceptance-suite"
+# the nine report rows that the estimate-all benchmark also checks
+EXPECTED_ROWS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "expected_estimate.json")
 
 # published reference rows: N_s, A_wc, SIA, LCA, DA_pq, KRA_pq, lifetime
 REFERENCE = {
@@ -177,6 +182,16 @@ def test_criterion_3_work_factors(reports):
           f"[{elapsed:.0f}s]" + (" " + "; ".join(problems) if problems else ""))
     assert elapsed < 300, "nine reports must finish inside five minutes"
     assert not problems, problems
+
+
+def test_criterion_3_rows_pinned(reports):
+    reps, _ = reports
+    with open(EXPECTED_ROWS) as fh:
+        expected = json.load(fh)
+    rows = [rep.to_dict() for rep in reps.values()]
+    for row, want in zip(rows, expected):
+        assert row == want, row["instance"]
+    assert len(rows) == len(expected)
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))

@@ -2,8 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import and_weight_dist_loop, xor_weight_dist_loop
 from ledasig import toy_params
 from ledasig.estimator import (IsdTarget, SiaInputs,
                                SternParams, and_weight_dist, bjmm_approx_wf,
@@ -13,6 +15,7 @@ from ledasig.estimator import (IsdTarget, SiaInputs,
                                sia_probabilities, sia_wf, signature_space,
                                stat_lifetime, stern_success_log2,
                                unique_decoding_radius, xor_weight_dist,
+                               _iterated_and_dist, _lb, _lb_array,
                                _stern_wf_at, _GROVER_PREFACTOR_LOG2,
                                _P_INV_LOG2, _stern_iteration_cost_log2)
 from ledasig.params import get_instance
@@ -103,6 +106,58 @@ def test_distributions_normalize():
 
 def test_p_xor_parity_infeasible():
     assert p_xor(10, (2, 2), 3) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# array steps against the scalar loops: the same floats, not just close
+
+
+def test_lb_array_matches_scalar():
+    # small grid with every infeasible corner: k < 0, k > n, n < 0
+    n, k = np.meshgrid(np.arange(-2, 40), np.arange(-3, 45), indexing="ij")
+    # and instance-sized arguments up to gamma3's n = 914453
+    rng = np.random.default_rng(7)
+    big_n = rng.integers(0, 914454, 600)
+    big_k = np.concatenate((rng.integers(-3, big_n[:200] + 4),
+                            rng.integers(-3, 4, 200),
+                            big_n[400:] + rng.integers(-3, 4, 200)))
+    for n, k in ((n.ravel(), k.ravel()), (big_n, big_k)):
+        want = [_lb(int(a), int(b)) for a, b in zip(n, k)]
+        got = _lb_array(n, k)
+        assert np.array_equal(got, want)
+    assert (_lb_array(5, np.array([-1, 6])) == -math.inf).all()
+    assert (_lb_array(-1, np.array([0])) == -math.inf).all()
+
+
+MIXED = [(6, (2, 2)), (8, (3, 2)), (8, (3, 3, 3)), (10, (4, 2, 3)),
+         (12, (5, 4)), (12, (6, 5)), (9, (7, 6, 8)), (40, (7, 3, 11, 2)),
+         (31, (30, 29, 1, 16)), (64, (0, 5, 5))]
+
+
+@pytest.mark.parametrize("n,weights", MIXED)
+def test_xor_dist_equals_scalar_loop(n, weights):
+    assert np.array_equal(xor_weight_dist(n, weights),
+                          xor_weight_dist_loop(n, weights))
+
+
+@pytest.mark.parametrize("n,weights", MIXED)
+def test_and_dist_equals_scalar_loop(n, weights):
+    assert np.array_equal(and_weight_dist(n, weights),
+                          and_weight_dist_loop(n, weights))
+
+
+def test_xor_dist_a3_syndromes_equal_scalar_loop():
+    for ell in range(2, 9):
+        weights = [A3.w] * ell
+        assert np.array_equal(xor_weight_dist(A3.r, weights),
+                              xor_weight_dist_loop(A3.r, weights)), ell
+
+
+def test_iterated_and_dist_equals_scalar_fold():
+    for count in range(1, 17):
+        assert np.array_equal(
+            _iterated_and_dist(A3.r, A3.w, count),
+            and_weight_dist_loop(A3.r, [A3.w] * count)), count
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +270,8 @@ def test_sia_single_step_collapse():
     # w_L = w: one intersection step only
     est = sia_wf(A3, max_collected=3, max_w_l=A3.w)
     from ledasig.estimator import _sia_wf_at
-    single = _sia_wf_at(A3, 2, A3.w, A3.z)
+    probs = sia_probabilities(A3, SiaInputs(2, A3.w, A3.z, A3))
+    single = _sia_wf_at(A3, 2, A3.w, probs.p_and_log2, probs.p_i_ge_j_log2)
     assert single >= est.wf_log2
 
 
