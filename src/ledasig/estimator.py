@@ -416,7 +416,8 @@ def _codeword_row_parities(params: SysParams) -> tuple[float, float, float]:
             _parity_sum(n - 1, m_s, w_c, 0))
 
 
-def _bit_probabilities(params: SysParams, w_l: int, rows
+def _bit_probabilities(params: SysParams, w_l: int,
+                       rows: tuple[float, float, float]
                        ) -> tuple[float, float, float, float]:
     """(p_i1, p_i, p_j1, p_j) for intersected weight w_l, given the
     codeword-row parities `rows`."""
@@ -622,7 +623,11 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
 
 def _binom_logpmfs(count: int, probs) -> list[np.ndarray]:
     """Natural-log Binomial(count, prob) pmfs over x = 0..count, one per
-    prob, from one log(x!) array."""
+    prob, from one log(x!) array.
+
+    x and log(x!) end with this call: kept through the caller, they would
+    raise its peak by two count-sized arrays.
+    """
     x = np.arange(count + 1, dtype=np.float64)
     log_fact = gammaln(x + 1)
     return [log_fact[-1] - log_fact - log_fact[::-1]
@@ -630,8 +635,8 @@ def _binom_logpmfs(count: int, probs) -> list[np.ndarray]:
             for prob in probs]
 
 
-def _coincidence_separation(params: SysParams, collected: int, rhos
-                            ) -> tuple[float, float]:
+def _coincidence_separation(params: SysParams, collected: int,
+                            rhos: tuple[float, float]) -> tuple[float, float]:
     """(1 - rho_v, rho_v): probability that no/some pair from one column
     of the scrambler beats every background pair count, given the pair
     probabilities `rhos` of _pair_coincidence_probs."""
