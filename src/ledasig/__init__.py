@@ -2,8 +2,8 @@
 
 Library layout:
   params     parameter records for the nine proposed instances
-  qc         bit-packed GF(2) polynomials, quasi-cyclic and dense bit
-             matrices, the generalized-permutation index map, and the
+  qc         bit-packed GF(2) polynomials, GF(2) inversion of small 0/1
+             arrays, the generalized-permutation index map, and the
              wire-layout vector that holds a signature's sigma
   keygen     seed-deterministic key generation, the scrambler chain
              shared by signing and the public key

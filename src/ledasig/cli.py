@@ -1,4 +1,4 @@
-"""Command-line front end: keygen, sign, verify, estimate, bench.
+"""Command-line front end: keygen, sign, verify, estimate.
 
 Exit codes: 0 success / signature accepted, 1 signature rejected,
 2 bad arguments, 3 I/O failure, 4 malformed or inconsistent input files.
@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 
 from . import codec
 from .drbg import fresh_xof
@@ -131,40 +129,6 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    if args.iters <= 0:
-        raise _UsageError("--iters must be positive")
-    params = get_instance(args.instance)
-    seed = bytes(params.seed_bytes)
-    message = b"benchmark message"
-    sk, pk = keypair_from_seed(seed, params)
-    at_rest = codec.encode_private_key_at_rest(sk)
-    sig = sign(sk, message)
-    verify(pk, message, sig)    # warm the packed kernel
-
-    def timed(fn):
-        samples = []
-        for _ in range(args.iters):
-            t0 = time.perf_counter()
-            fn()
-            samples.append((time.perf_counter() - t0) * 1000.0)
-        mean = statistics.fmean(samples)
-        std = statistics.stdev(samples) if len(samples) > 1 else 0.0
-        return mean, std
-
-    rows = [
-        ("keygen", timed(lambda: keypair_from_seed(seed, params))),
-        ("sign", timed(lambda: sign(sk, message))),
-        ("sign_expand", timed(
-            lambda: sign(codec.expand_private_key_only(at_rest), message))),
-        ("verify", timed(lambda: verify(pk, message, sig))),
-    ]
-    for name, (mean, std) in rows:
-        print(f"op={name} mean_ms={mean:.3f} std_ms={std:.3f} "
-              f"iters={args.iters}")
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ledasig",
@@ -199,11 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None)
     es.add_argument("--jsonl", action="store_true")
     es.set_defaults(func=cmd_estimate)
-
-    bn = sub.add_parser("bench", help="timing for keygen/sign/verify")
-    bn.add_argument("--instance", required=True)
-    bn.add_argument("--iters", type=int, required=True)
-    bn.set_defaults(func=cmd_bench)
     return parser
 
 

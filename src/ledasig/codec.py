@@ -36,8 +36,7 @@ from .errors import DimensionError, FormatError, IntegrityError, Singular
 from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
                      build_public_key, compute_d, private_key_from_seed)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
-from .qc import (DenseBitMatrix, PackedVector, QcMatrix, dense_invert,
-                 inverse_int)
+from .qc import PackedVector, dense_invert, inverse_int
 from .signer import Signature
 
 MAGIC = b"LSG1"
@@ -48,6 +47,9 @@ KIND_PRIVATE_AT_REST = 2
 KIND_SIGNATURE = 3
 
 _ID_TO_NAME = {v: k for k, v in INSTANCE_IDS.items()}
+
+# one entry of V in an expanded private key: block column, rotation
+_V_ENTRY = np.dtype([("col", "<u2"), ("rot", "<u4")])
 
 
 def _header(kind: int, params: SysParams) -> bytes:
@@ -136,29 +138,20 @@ def decode_signature(data: bytes) -> tuple[Signature, SysParams]:
 # private key, at rest (seed + B)
 
 
-def _pack_bit_columns(m: DenseBitMatrix) -> bytes:
-    nb = (m.rows + 7) // 8
-    out = []
-    for c in range(m.cols):
-        v = 0
-        for r in range(m.rows):
-            v |= m.get(r, c) << r
-        out.append(v.to_bytes(nb, "little"))
-    return b"".join(out)
+def _pack_bit_columns(m: np.ndarray) -> bytes:
+    """Each column of a 0/1 array as ceil(rows/8) little-endian bytes."""
+    return np.packbits(m.T, axis=1, bitorder="little").tobytes()
 
 
-def _unpack_bit_columns(data: bytes, rows: int, cols: int) -> DenseBitMatrix:
+def _unpack_bit_columns(data: bytes, rows: int, cols: int) -> np.ndarray:
     nb = (rows + 7) // 8
     if len(data) != nb * cols:
         raise FormatError("bit-column payload has the wrong size")
-    row_bits = [0] * rows
-    for c in range(cols):
-        v = int.from_bytes(data[c * nb:(c + 1) * nb], "little")
-        if v >> rows:
-            raise FormatError("bits set beyond the declared rows")
-        for r in range(rows):
-            row_bits[r] |= ((v >> r) & 1) << c
-    return DenseBitMatrix.from_rows(row_bits, cols)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(cols, nb)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    if bits[:, rows:].any():
+        raise FormatError("bits set beyond the declared rows")
+    return bits[:, :rows].T
 
 
 def encode_private_key_at_rest(sk: PrivateKey) -> bytes:
@@ -181,7 +174,7 @@ def expand_private_key_only(data: bytes) -> PrivateKey:
     seed = data[6:6 + prm.seed_bytes]
     stored_b = _unpack_bit_columns(data[6 + prm.seed_bytes:], prm.r0, prm.z)
     sk = private_key_from_seed(seed, prm)
-    if sk.q.b != stored_b:
+    if not np.array_equal(sk.q.b, stored_b):
         raise IntegrityError("stored B does not match the seed expansion")
     return sk
 
@@ -192,11 +185,9 @@ def expand_private_key_only(data: bytes) -> PrivateKey:
 
 def encode_private_key_expanded(sk: PrivateKey) -> bytes:
     prm = sk.params
-    out = [_header(KIND_PRIVATE_EXPANDED, prm), sk.seed]
-    for row in sk.v.blocks:
-        for col, blk in enumerate(row):
-            if blk:
-                out.append(struct.pack("<HI", col, blk.bit_length() - 1))
+    entries = np.empty(sk.v[0].shape, dtype=_V_ENTRY)
+    entries["col"], entries["rot"] = sk.v
+    out = [_header(KIND_PRIVATE_EXPANDED, prm), sk.seed, entries.tobytes()]
     s = sk.s
     out.append(struct.pack(f"<{prm.n0}I", *s.lam_rots))
     out.append(struct.pack(f"<{prm.n0}I", *s.phi_rots))
@@ -225,16 +216,15 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
         return chunk
 
     seed = take(prm.seed_bytes)
-    rows = []
-    for _ in range(prm.k0):
-        row = [0] * r0
-        for _ in range(prm.w_g - 1):
-            col, rot = struct.unpack("<HI", take(6))
-            if col >= r0 or rot >= p or row[col]:
-                raise FormatError("invalid sparse row entry")
-            row[col] = 1 << rot
-        rows.append(tuple(row))
-    v = QcMatrix(prm.k0, r0, p, tuple(rows))
+    shape = (prm.k0, prm.w_g - 1)
+    raw = take(_V_ENTRY.itemsize * shape[0] * shape[1])
+    entries = np.frombuffer(raw, dtype=_V_ENTRY).reshape(shape)
+    entries = np.sort(entries, axis=1, order="col")
+    cols = entries["col"].astype(np.int64)
+    rots = entries["rot"].astype(np.int64)
+    if ((cols >= r0).any() or (rots >= p).any()
+            or (np.diff(cols, axis=1) == 0).any()):
+        raise FormatError("invalid sparse row entry")
 
     lam = struct.unpack(f"<{n0}I", take(4 * n0))
     phi = struct.unpack(f"<{n0}I", take(4 * n0))
@@ -264,7 +254,7 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
     except Singular:
         raise FormatError("A and B give a singular D") from None
     q = QFactors(perm, psi, a, b, d_inv)
-    return PrivateKey(params=prm, seed=seed, v=v, s=s, q=q)
+    return PrivateKey(params=prm, seed=seed, v=(cols, rots), s=s, q=q)
 
 
 # ---------------------------------------------------------------------------

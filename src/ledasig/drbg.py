@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import os
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -64,12 +66,16 @@ class Xof:
         """Uniform permutation of {0, .., x-1}."""
         return self.distinct(x, x)
 
-    def bit_matrix(self, rows: int, cols: int) -> list[int]:
-        """Random rows x cols binary matrix, one little-endian int per row."""
+    def bit_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """Random rows x cols 0/1 uint8 array.
+
+        Row i is the little-endian bits of the i-th of `rows` consecutive
+        ceil(cols/8)-byte draws, the bits at and above cols dropped.
+        """
         nbytes = (cols + 7) // 8
-        mask = (1 << cols) - 1
-        return [int.from_bytes(self.bytes(nbytes), "little") & mask
-                for _ in range(rows)]
+        raw = np.frombuffer(self.bytes(rows * nbytes), dtype=np.uint8)
+        return np.unpackbits(raw.reshape(rows, nbytes), axis=1, count=cols,
+                             bitorder="little")
 
     def sparse_poly(self, p: int, weight: int) -> int:
         """Random polynomial mod x^p + 1 with the given coefficient count."""

@@ -8,6 +8,13 @@ M a generalized permutation and R = (A . B^T) x 1_{pxp} of rank at most z;
 Q^-1 = M^T + (Pi^T A D^-1 B^T Pi^T) x 1_{pxp} via the Woodbury identity,
 where D = I_z + B^T Pi^T A for odd p and D = I_z for even p.
 
+Each factor has one array form, shared by signing, build_public_key and
+both private-key codecs.  V, a k0 x r0 grid with w_g - 1 circulant
+permutations x^t per block row, is the pair (cols, rots) of (k0, w_g - 1)
+int64 arrays, columns ascending in each row.  A and B are (r0, z) and
+D^-1 is (z, z) 0/1 uint8 arrays, so D, the rank-z mask K and the
+signer's kernel test are small matrix products.
+
 Signing applies S to sparse supports (apply_s), which packs S . x^T
 straight into the signature's wire layout.  The public key needs S^-1
 only through S^-T = PiLambda . (E^-T x I_p) . PiPhi, which has the shape
@@ -30,10 +37,9 @@ from .drbg import Xof
 from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
-from .qc import (DenseBitMatrix, GenPermutation, PackedVector, QcMatrix,
-                 dense_invert, genperm_from_left, genperm_from_right,
-                 inverse_int, invert_perm, pack_blocks, padding_clear,
-                 transpose_int)
+from .qc import (GenPermutation, PackedVector, dense_invert,
+                 genperm_from_left, genperm_from_right, inverse_int,
+                 invert_perm, pack_blocks, padding_clear, transpose_int)
 
 
 @dataclass(frozen=True)
@@ -48,31 +54,44 @@ class SFactors:
     e_inv: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QFactors:
-    """Factors of the syndrome scrambler Q (all sizes over r0 blocks)."""
+    """Factors of the syndrome scrambler Q (all sizes over r0 blocks).
+
+    a, b and d_inv are 0/1 uint8 arrays; PrivateKey compares them.
+    """
 
     perm: tuple[int, ...]
     psi_rots: tuple[int, ...]
-    a: DenseBitMatrix          # r0 x z
-    b: DenseBitMatrix          # r0 x z
-    d_inv: DenseBitMatrix      # z x z
+    a: np.ndarray              # (r0, z)
+    b: np.ndarray              # (r0, z)
+    d_inv: np.ndarray          # (z, z)
 
 
 @dataclass(eq=False)
 class PrivateKey:
-    """Factored private key; treated as immutable after construction."""
+    """Factored private key; treated as immutable after construction.
+
+    v is V as (cols, rots), two (k0, w_g - 1) int64 arrays: block row i of
+    V holds x^rots[i, j] at block column cols[i, j], columns ascending.
+    """
 
     params: SysParams
     seed: bytes
-    v: QcMatrix                # k0 x r0 grid of circulant permutations
+    v: tuple[np.ndarray, np.ndarray]
     s: SFactors
     q: QFactors
 
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (*self.v, self.q.a, self.q.b, self.q.d_inv)
+
     def __eq__(self, other):
         return (isinstance(other, PrivateKey)
-                and (self.params, self.seed, self.v, self.s, self.q)
-                == (other.params, other.seed, other.v, other.s, other.q))
+                and (self.params, self.seed, self.s, self.q.perm,
+                     self.q.psi_rots)
+                == (other.params, other.seed, other.s, other.q.perm,
+                    other.q.psi_rots)
+                and all(map(np.array_equal, self._arrays(), other._arrays())))
 
     @cached_property
     def pi_lambda(self) -> GenPermutation:
@@ -88,17 +107,6 @@ class PrivateKey:
     def m_perm(self) -> GenPermutation:
         return genperm_from_right(list(self.q.perm), list(self.q.psi_rots),
                                   self.params.p)
-
-    @cached_property
-    def v_row_structure(self):
-        """Per block row: (block column indices, rotation exponents)."""
-        cols, rots = [], []
-        for row in self.v.blocks:
-            cc = np.array([j for j, b in enumerate(row) if b], dtype=np.int64)
-            tt = np.array([row[j].bit_length() - 1 for j in cc], dtype=np.int64)
-            cols.append(cc)
-            rots.append(tt)
-        return cols, rots
 
 
 @dataclass(eq=False)
@@ -132,15 +140,21 @@ class PublicKey:
 # generation of the individual factors
 
 
-def gen_v(params: SysParams, xof: Xof) -> QcMatrix:
-    """Sparse k0 x r0 grid with w_g - 1 circulant permutations per row."""
-    rows = []
-    for _ in range(params.k0):
-        row = [0] * params.r0
-        for col in xof.distinct(params.r0, params.w_g - 1):
-            row[col] = 1 << xof.rotation(params.p)
-        rows.append(tuple(row))
-    return QcMatrix(params.k0, params.r0, params.p, tuple(rows))
+def gen_v(params: SysParams, xof: Xof) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse k0 x r0 grid with w_g - 1 circulant permutations per row.
+
+    Each row draws its columns, then one rotation per column in draw
+    order; the row is then sorted by column.
+    """
+    shape = (params.k0, params.w_g - 1)
+    cols = np.empty(shape, dtype=np.int64)
+    rots = np.empty(shape, dtype=np.int64)
+    for i in range(params.k0):
+        cols[i] = xof.distinct(params.r0, params.w_g - 1)
+        rots[i] = [xof.rotation(params.p) for _ in range(shape[1])]
+    order = np.argsort(cols, axis=1)
+    return (np.take_along_axis(cols, order, axis=1),
+            np.take_along_axis(rots, order, axis=1))
 
 
 def gen_s(params: SysParams, xof: Xof) -> SFactors:
@@ -162,32 +176,24 @@ def gen_s(params: SysParams, xof: Xof) -> SFactors:
     return SFactors(tuple(lam), tuple(phi), perm1, perm2, e_poly, e_inv)
 
 
-def compute_d(params: SysParams, perm, a: DenseBitMatrix,
-              b: DenseBitMatrix) -> DenseBitMatrix:
-    """D = I_z + B^T Pi^T A for odd p, I_z for even p."""
-    z = params.z
+def compute_d(params: SysParams, perm, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """D = I_z + B^T Pi^T A for odd p, I_z for even p.
+
+    The uint8 products wrap mod 256, which keeps their parity.
+    """
+    eye = np.eye(params.z, dtype=np.uint8)
     if params.p % 2 == 0:
-        return DenseBitMatrix.identity(z)
-    inv_perm = invert_perm(perm)
-    d_rows = []
-    for i in range(z):
-        row = 0
-        for j in range(z):
-            acc = 1 if i == j else 0
-            for k in range(params.r0):
-                acc ^= ((b.row_bits[k] >> i)
-                        & (a.row_bits[inv_perm[k]] >> j) & 1)
-            row |= acc << j
-        d_rows.append(row)
-    return DenseBitMatrix.from_rows(d_rows, z)
+        return eye
+    return (eye + b.T @ a[invert_perm(perm)]) & 1
 
 
 def gen_q(params: SysParams, xof: Xof) -> QFactors:
     r0, z, p = params.r0, params.z, params.p
     while True:
         perm = tuple(xof.permutation(r0))
-        a = DenseBitMatrix.from_rows(xof.bit_matrix(r0, z), z)
-        b = DenseBitMatrix.from_rows(xof.bit_matrix(r0, z), z)
+        a = xof.bit_matrix(r0, z)
+        b = xof.bit_matrix(r0, z)
         try:
             d_inv = dense_invert(compute_d(params, perm, a, b))
         except Singular:
@@ -227,17 +233,9 @@ def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
     return PackedVector.from_bits(bits.reshape(prm.n0, prm.p))
 
 
-def q_correction_mask(q: QFactors, r0: int) -> np.ndarray:
+def q_correction_mask(q: QFactors) -> np.ndarray:
     """Dense r0 x r0 matrix K = Pi^T A D^-1 B^T Pi^T of the rank-z term."""
-    z = q.a.cols
-    inv_perm = invert_perm(q.perm)
-    pa = np.array([[q.a.get(inv_perm[k], j) for j in range(z)]
-                   for k in range(r0)], dtype=np.uint8)
-    dinv = np.array([[q.d_inv.get(i, j) for j in range(z)]
-                     for i in range(z)], dtype=np.uint8)
-    btp = np.array([[q.b.get(q.perm[j], i) for j in range(r0)]
-                    for i in range(z)], dtype=np.uint8)
-    return (pa @ dinv @ btp) & 1
+    return (q.a[invert_perm(q.perm)] @ q.d_inv @ q.b[list(q.perm)].T) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +253,13 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     """
     prm = sk.params
     p, n0, r0, k0 = prm.p, prm.n0, prm.r0, prm.k0
-    kmat = q_correction_mask(sk.q, r0)
+    kmat = q_correction_mask(sk.q)
     e_t = transpose_int(sk.s.e_inv, n0)
+    cols, rots = sk.v
 
     # all-ones flags of (K x 1_{pxp}) H, then PiPhi, E^-T and PiLambda
-    nzv = np.array([[1 if b else 0 for b in row] for row in sk.v.blocks],
-                   dtype=np.uint8)
+    nzv = np.zeros((k0, r0), dtype=np.uint8)
+    np.put_along_axis(nzv, cols, 1, axis=1)
     flags = np.empty((r0, n0), dtype=np.uint8)
     flags[:, :k0] = (kmat @ nzv.T) & 1
     flags[:, k0:] = kmat
@@ -274,10 +273,10 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     for i, ki in enumerate(invert_perm(sk.q.perm)):
         # first row of block row i of M^T H: one coefficient per block
         rot = -sk.q.psi_rots[i]
-        sup = [j * p + (rot - blk.bit_length() + 1) % p
-               for j, blk in enumerate(vrow[ki] for vrow in sk.v.blocks) if blk]
-        sup.append((k0 + ki) * p + rot % p)
-        bits = _scramble(sk, e_t, np.array(sup, dtype=np.int64)).reshape(n0, p)
+        rows, slots = np.nonzero(cols == ki)
+        sup = np.append(rows * p + (rot - rots[rows, slots]) % p,
+                        (k0 + ki) * p + rot % p)
+        bits = _scramble(sk, e_t, sup).reshape(n0, p)
         bits ^= ones[i][:, None]
         words[i] = pack_blocks(bits)
     return PublicKey(prm, words)

@@ -2,11 +2,9 @@
 
 Polynomials in GF(2)[x]/<x^p + 1> are packed little-endian into Python
 integers (coefficient i at bit i).  A p x p circulant matrix is identified
-with the polynomial of its first row; quasi-cyclic matrices are grids of
-such polynomials with an all-zero polynomial encoding a null block.
+with the polynomial of its first row.
 
-Conventions used throughout the package, matching the dense expansion
-returned by QcMatrix.to_dense_rows:
+Conventions used throughout the package:
 
 * circulant row r of poly a = a rotated left by r, i.e. C[r][c] = a[(c-r) % p]
 * product of circulants = product of polynomials
@@ -27,18 +25,6 @@ from .errors import DimensionError, NotInvertible, Singular
 
 # ---------------------------------------------------------------------------
 # raw polynomial kernels (ints, little-endian coefficient packing)
-
-
-def mask_of(p: int) -> int:
-    return (1 << p) - 1
-
-
-def rotl_int(a: int, s: int, p: int) -> int:
-    """Multiply by x^s, i.e. rotate coefficients left by s."""
-    s %= p
-    if s == 0:
-        return a
-    return ((a << s) | (a >> (p - s))) & mask_of(p)
 
 
 def transpose_int(a: int, p: int) -> int:
@@ -67,7 +53,7 @@ def _divmod_gf2(a: int, b: int) -> tuple[int, int]:
 def inverse_int(a: int, p: int) -> int:
     """Inverse of a mod x^p + 1 via the extended Euclidean algorithm."""
     modulus = (1 << p) | 1
-    a &= mask_of(p)
+    a &= (1 << p) - 1
     if a == 0:
         raise NotInvertible("zero polynomial")
     r0, r1 = modulus, a
@@ -87,11 +73,6 @@ def inverse_int(a: int, p: int) -> int:
         raise NotInvertible("gcd(a, x^p + 1) != 1")
     _, inv = _divmod_gf2(s0, modulus)
     return inv
-
-
-def circulant_rows(a: int, p: int) -> list[int]:
-    """Dense expansion: row r of the circulant of a, as p-bit ints."""
-    return [rotl_int(a, r, p) for r in range(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,103 +190,25 @@ class PackedVector:
         return tuple(self.positions().tolist())
 
 
-@dataclass(frozen=True)
-class QcMatrix:
-    """Grid of circulant blocks; blocks[i][j] packs the (i, j) polynomial."""
-
-    rows_blocks: int
-    cols_blocks: int
-    p: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.blocks) != self.rows_blocks or any(
-                len(row) != self.cols_blocks for row in self.blocks):
-            raise DimensionError("block grid does not match declared shape")
-        m = mask_of(self.p)
-        if any(b & ~m for row in self.blocks for b in row):
-            raise DimensionError("block exceeds p coefficients")
-
-    @classmethod
-    def zero(cls, rows_blocks: int, cols_blocks: int, p: int) -> "QcMatrix":
-        return cls(rows_blocks, cols_blocks, p,
-                   tuple((0,) * cols_blocks for _ in range(rows_blocks)))
-
-    @classmethod
-    def identity(cls, nblocks: int, p: int) -> "QcMatrix":
-        return cls(nblocks, nblocks, p,
-                   tuple(tuple(1 if i == j else 0 for j in range(nblocks))
-                         for i in range(nblocks)))
-
-    @classmethod
-    def from_blocks(cls, blocks, p: int) -> "QcMatrix":
-        rows = tuple(tuple(row) for row in blocks)
-        return cls(len(rows), len(rows[0]), p, rows)
-
-    def to_dense_rows(self) -> list[int]:
-        """Dense expansion as (rows_blocks*p) ints of cols_blocks*p bits."""
-        p = self.p
-        out = []
-        for brow in self.blocks:
-            expanded = [circulant_rows(b, p) for b in brow]
-            for r in range(p):
-                v = 0
-                for jb in range(self.cols_blocks):
-                    v |= expanded[jb][r] << (jb * p)
-                out.append(v)
-        return out
-
-
 # ---------------------------------------------------------------------------
-# dense bit matrices
+# dense bit matrices: 0/1 uint8 arrays, entry (i, j) at [i, j]
 
 
-@dataclass(frozen=True)
-class DenseBitMatrix:
-    """Row-major packed binary matrix; each row is a little-endian int."""
-
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.row_bits) != self.rows:
-            raise DimensionError("row count mismatch")
-        m = mask_of(self.cols)
-        if any(r & ~m for r in self.row_bits):
-            raise DimensionError("row exceeds declared columns")
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseBitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows, cols: int) -> "DenseBitMatrix":
-        rows = tuple(int(r) for r in rows)
-        return cls(len(rows), cols, rows)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-
-def dense_invert(m: DenseBitMatrix) -> DenseBitMatrix:
+def dense_invert(m: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse over GF(2); raises Singular when rank-deficient."""
-    if m.rows != m.cols:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("matrix must be square")
-    n = m.rows
-    work = list(m.row_bits)
-    inv = [1 << i for i in range(n)]
+    n = len(m)
+    work = np.concatenate((m.astype(np.uint8) & 1,
+                           np.eye(n, dtype=np.uint8)), axis=1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if (work[r] >> col) & 1), None)
-        if pivot is None:
+        pivots = np.flatnonzero(work[col:, col])
+        if not len(pivots):
             raise Singular(f"no pivot in column {col}")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for r in range(n):
-            if r != col and (work[r] >> col) & 1:
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return DenseBitMatrix(n, n, tuple(inv))
+        work[[col, col + pivots[0]]] = work[[col + pivots[0], col]]
+        rows = np.flatnonzero(work[:, col])
+        work[rows[rows != col]] ^= work[col]
+    return work[:, n:]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .drbg import Xof, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
-from .qc import DenseBitMatrix, PackedVector, SparseVector
+from .qc import PackedVector, SparseVector
 
 THETA_MAX = (1 << 64) - 1
 _THETA_ITER_CAP = 1 << 32
@@ -75,22 +75,15 @@ def cw_encode(digest: bytes, length: int, weight: int) -> SparseVector:
     return SparseVector(length, tuple(sorted(support)))
 
 
-def kernel_check(bt: DenseBitMatrix, s: SparseVector, p: int) -> bool:
-    """True iff (B^T x 1_{1xp}) . s = 0.
+def kernel_check(b: np.ndarray, s: SparseVector, p: int) -> bool:
+    """True iff (B^T x 1_{1xp}) . s = 0, for B an (r0, z) 0/1 array.
 
     Column i of B selects length-p chunks of s; the condition holds when
     each selected chunk-weight sum is even.
     """
-    parity = 0
-    wt = np.zeros(bt.rows, dtype=np.int64)
-    np.add.at(wt, np.asarray(s.support, dtype=np.int64) // p, 1)
-    for j in np.flatnonzero(wt & 1):
-        parity |= 1 << int(j)
-    for i in range(bt.cols):
-        col = sum(((bt.row_bits[j] >> i) & 1) << j for j in range(bt.rows))
-        if (parity & col).bit_count() & 1:
-            return False
-    return True
+    chunks = np.asarray(s.support, dtype=np.int64) // p
+    parity = np.bincount(chunks, minlength=len(b)) & 1
+    return not ((parity @ b) & 1).any()
 
 
 def codeword_weight_floor(params: SysParams) -> int:
@@ -114,14 +107,13 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
     p, k, r = prm.p, prm.k, prm.r
     target = prm.m_g * prm.w_g
     floor = codeword_weight_floor(prm)
-    cols, rots = sk.v_row_structure
+    cols, rots = sk.v
     for _ in range(_CODEWORD_RETRY_CAP):
         u = xof.distinct(k, prm.m_g)
-        counts = np.zeros(r, dtype=np.int16)
-        for pos in u:
-            b, o = divmod(pos, p)
-            np.add.at(counts, cols[b] * p + (rots[b] + o) % p, 1)
-        right = np.flatnonzero(counts & 1).astype(np.int64)
+        b, o = np.divmod(np.array(u, dtype=np.int64), p)
+        hits = cols[b] * p + (rots[b] + o[:, None]) % p
+        counts = np.bincount(hits.ravel(), minlength=r)
+        right = np.flatnonzero(counts & 1)
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
             u_arr = np.array(sorted(u), dtype=np.int64)

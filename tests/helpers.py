@@ -2,8 +2,9 @@
 
 Everything here expands matrices to dense row-int form, multiplies
 naively or applies a factor's inverse map on its own; it is only meant
-for toy-sized parameters.  The polynomial and quasi-cyclic products, the
-inverse application procedures for S and Q, and the transposed
+for toy-sized parameters.  QcMatrix (a grid of circulant polynomials
+packed in ints), the polynomial and quasi-cyclic products, the inverse
+application procedures for S and Q, and the transposed
 generalized-permutation map live here because only tests use them.  So do
 the scalar AND / XOR weight-distribution loops that the estimator's array
 steps must reproduce bit for bit.
@@ -18,9 +19,8 @@ from ledasig.errors import DimensionError
 from ledasig.estimator import NEG_INF, _lb
 from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
                             q_correction_mask)
-from ledasig.qc import (GenPermutation, QcMatrix, SparseVector,
-                        circulant_rows, inverse_int, invert_perm, mask_of,
-                        transpose_int)
+from ledasig.qc import (GenPermutation, SparseVector, inverse_int,
+                        invert_perm, transpose_int)
 
 
 def toy_private_key(prm, seed: bytes) -> PrivateKey:
@@ -28,6 +28,72 @@ def toy_private_key(prm, seed: bytes) -> PrivateKey:
     xof = Xof(seed)
     return PrivateKey(params=prm, seed=bytes(seed), v=gen_v(prm, xof),
                       s=gen_s(prm, xof), q=gen_q(prm, xof))
+
+
+# ---------------------------------------------------------------------------
+# circulant and quasi-cyclic matrices of int-packed polynomials
+
+
+def circulant_rows(a: int, p: int) -> list[int]:
+    """Dense expansion: row r of the circulant of a is a rotated left by r."""
+    mask = (1 << p) - 1
+    return [((a << r) | (a >> (p - r))) & mask for r in range(p)]
+
+
+@dataclass(frozen=True)
+class QcMatrix:
+    """Grid of circulant blocks; blocks[i][j] packs the (i, j) polynomial."""
+
+    rows_blocks: int
+    cols_blocks: int
+    p: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.blocks) != self.rows_blocks or any(
+                len(row) != self.cols_blocks for row in self.blocks):
+            raise DimensionError("block grid does not match declared shape")
+        if any(b >> self.p for row in self.blocks for b in row):
+            raise DimensionError("block exceeds p coefficients")
+
+    @classmethod
+    def zero(cls, rows_blocks: int, cols_blocks: int, p: int) -> "QcMatrix":
+        return cls(rows_blocks, cols_blocks, p,
+                   tuple((0,) * cols_blocks for _ in range(rows_blocks)))
+
+    @classmethod
+    def identity(cls, nblocks: int, p: int) -> "QcMatrix":
+        return cls(nblocks, nblocks, p,
+                   tuple(tuple(1 if i == j else 0 for j in range(nblocks))
+                         for i in range(nblocks)))
+
+    @classmethod
+    def from_blocks(cls, blocks, p: int) -> "QcMatrix":
+        rows = tuple(tuple(row) for row in blocks)
+        return cls(len(rows), len(rows[0]), p, rows)
+
+    def to_dense_rows(self) -> list[int]:
+        """Dense expansion as (rows_blocks*p) ints of cols_blocks*p bits."""
+        p = self.p
+        out = []
+        for brow in self.blocks:
+            expanded = [circulant_rows(b, p) for b in brow]
+            for r in range(p):
+                v = 0
+                for jb in range(self.cols_blocks):
+                    v |= expanded[jb][r] << (jb * p)
+                out.append(v)
+        return out
+
+
+def v_qc(sk: PrivateKey) -> QcMatrix:
+    """V of a private key as its k0 x r0 grid of circulant permutations."""
+    prm = sk.params
+    rows = [[0] * prm.r0 for _ in range(prm.k0)]
+    for i, (cols, rots) in enumerate(zip(*sk.v)):
+        for c, t in zip(cols.tolist(), rots.tolist()):
+            rows[i][c] = 1 << t
+    return QcMatrix.from_blocks(rows, prm.p)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +109,7 @@ def mul_int(a: int, b: int, p: int) -> int:
         low = a & -a
         acc ^= b << (low.bit_length() - 1)
         a ^= low
-    return (acc & mask_of(p)) ^ (acc >> p)
+    return (acc & ((1 << p) - 1)) ^ (acc >> p)
 
 
 @dataclass(frozen=True)
@@ -193,7 +259,7 @@ def invert_q(sk: PrivateKey):
     """Application procedure for Q^-1 (column action on supports)."""
     prm = sk.params
     p, r0 = prm.p, prm.r0
-    kmat = q_correction_mask(sk.q, r0)
+    kmat = q_correction_mask(sk.q)
     m_t = genperm_transpose(sk.m_perm)
 
     def apply_q_inv(pos: np.ndarray) -> np.ndarray:
@@ -262,7 +328,7 @@ def kron_with_identity(rows: list[int], ncols: int, p: int) -> list[int]:
 
 def kron_all_ones(mat_rows: list[int], ncols: int, p: int) -> list[int]:
     """Dense rows of M x 1_{pxp}."""
-    ones = mask_of(p)
+    ones = (1 << p) - 1
     out = []
     for row in mat_rows:
         v = 0
@@ -312,7 +378,7 @@ def q_dense(sk: PrivateKey) -> list[int]:
         for j in range(prm.r0):
             acc = 0
             for t in range(prm.z):
-                acc ^= sk.q.a.get(i, t) & sk.q.b.get(j, t)
+                acc ^= int(sk.q.a[i, t] & sk.q.b[j, t])
             row |= acc << j
         ab.append(row)
     r_rows = kron_all_ones(ab, prm.r0, prm.p)
@@ -322,7 +388,7 @@ def q_dense(sk: PrivateKey) -> list[int]:
 def q_inv_dense(sk: PrivateKey) -> list[int]:
     prm = sk.params
     m_t = dense_transpose(genperm_dense(sk.m_perm), prm.r)
-    k = q_correction_mask(sk.q, prm.r0)
+    k = q_correction_mask(sk.q)
     k_rows = [int("".join(str(b) for b in reversed(k[i])), 2) if k[i].any() else 0
               for i in range(prm.r0)]
     corr = kron_all_ones(k_rows, prm.r0, prm.p)
@@ -332,14 +398,14 @@ def q_inv_dense(sk: PrivateKey) -> list[int]:
 def h_dense(sk: PrivateKey) -> list[int]:
     """Dense H = [V^T | I_r]."""
     prm = sk.params
-    vt = qc_dense(qc_transpose(sk.v))
+    vt = qc_dense(qc_transpose(v_qc(sk)))
     return [row | (1 << (prm.k + i)) for i, row in enumerate(vt)]
 
 
 def g_dense(sk: PrivateKey) -> list[int]:
     """Dense G = [I_k | V]."""
     prm = sk.params
-    v_rows = qc_dense(sk.v)
+    v_rows = qc_dense(v_qc(sk))
     return [(1 << i) | (v_rows[i] << prm.k) for i in range(prm.k)]
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (dense_eye, dense_mul, dense_vec_mul, q_dense,
+from helpers import (QcMatrix, dense_eye, dense_mul, dense_vec_mul, q_dense,
                      q_inv_dense, qc_mul, qc_vec_mul, s_dense, s_inv_dense)
 from ledasig import (INSTANCES, encode_private_key_at_rest,
                      encode_public_key, encode_signature, get_instance,
@@ -30,8 +30,7 @@ from ledasig.drbg import Xof
 from ledasig.estimator import (and_weight_dist, full_report,
                                signature_bit_probability, xor_weight_dist)
 from ledasig.keygen import PrivateKey, gen_q, gen_s, gen_v
-from ledasig.qc import (DenseBitMatrix, PackedVector, QcMatrix,
-                        SparseVector)
+from ledasig.qc import PackedVector, SparseVector
 from ledasig.signer import Signature, cw_encode, kernel_check, sign
 
 RNG_SEED = b"acceptance-suite"
@@ -308,8 +307,8 @@ def test_criterion_6_oracles():
 
     # kernel condition vs the dense product, exhaustively at r = 15
     r0, p, z = 3, 5, 2
-    bmat = DenseBitMatrix.from_rows([0b10, 0b11, 0b01], z)
-    cols = [sum(bmat.get(j, i) << j for j in range(r0)) for i in range(z)]
+    bmat = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+    cols = [sum(int(bmat[j, i]) << j for j in range(r0)) for i in range(z)]
     dense_rows = []
     for i in range(z):
         row = 0

@@ -111,21 +111,3 @@ def test_estimate_custom_params_echo(capsys):
 
 def test_estimate_requires_target():
     assert main(["estimate"]) == 2
-
-
-def test_bench_zero_iters():
-    assert main(["bench", "--instance", "a3", "--iters", "0"]) == 2
-
-
-def test_bench_output_parses(capsys):
-    assert main(["bench", "--instance", "a3", "--iters", "1"]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines()
-             if l.startswith("op=")]
-    assert len(lines) == 4
-    seen = set()
-    for line in lines:
-        fields = dict(part.split("=", 1) for part in line.split())
-        assert {"op", "mean_ms", "std_ms", "iters"} <= fields.keys()
-        float(fields["mean_ms"]), float(fields["std_ms"])
-        seen.add(fields["op"])
-    assert seen == {"keygen", "sign", "sign_expand", "verify"}

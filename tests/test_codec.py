@@ -16,7 +16,7 @@ from ledasig.drbg import Xof
 from ledasig.errors import DimensionError, FormatError, IntegrityError
 from ledasig.keygen import private_key_from_seed
 from ledasig.params import INSTANCE_IDS, INSTANCES, get_instance
-from ledasig.qc import DenseBitMatrix, PackedVector, invert_perm
+from ledasig.qc import PackedVector, invert_perm
 from ledasig.signer import sign
 
 # published payload sizes in kiB (public key, signature)
@@ -230,16 +230,63 @@ def test_expanded_singular_d_rejected(a3_key):
     sk, _ = a3_key
     prm = sk.params
     inv_perm = invert_perm(sk.q.perm)
-    a_rows = [0] * prm.r0
-    b_rows = [0] * prm.r0
+    a = np.zeros((prm.r0, prm.z), dtype=np.uint8)
+    b = np.zeros((prm.r0, prm.z), dtype=np.uint8)
     for k in range(prm.z):
-        b_rows[k] = 1 << k
-        a_rows[inv_perm[k]] = 1 << k
-    q = dataclasses.replace(sk.q, a=DenseBitMatrix.from_rows(a_rows, prm.z),
-                            b=DenseBitMatrix.from_rows(b_rows, prm.z))
+        b[k, k] = 1
+        a[inv_perm[k], k] = 1
+    q = dataclasses.replace(sk.q, a=a, b=b)
     blob = encode_private_key_expanded(dataclasses.replace(sk, q=q))
     with pytest.raises(FormatError):
         decode_private_key_expanded(blob)
+
+
+# one entry of V on the wire: block column, then rotation exponent
+V_ENTRY = np.dtype([("col", "<u2"), ("rot", "<u4")])
+
+
+def _with_v_entries(sk, edit):
+    """Expanded blob of sk after edit() changed its (k0, w_g - 1) V records."""
+    prm = sk.params
+    blob = bytearray(encode_private_key_expanded(sk))
+    start = 6 + prm.seed_bytes
+    end = start + V_ENTRY.itemsize * prm.k0 * (prm.w_g - 1)
+    entries = np.frombuffer(bytes(blob[start:end]), dtype=V_ENTRY)
+    entries = entries.reshape(prm.k0, prm.w_g - 1).copy()
+    edit(entries)
+    blob[start:end] = entries.tobytes()
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("bad", ["column_r0", "rotation_p",
+                                 "repeated_column"])
+def test_expanded_invalid_v_entry_rejected(a3_key, bad):
+    sk, _ = a3_key
+    prm = sk.params
+
+    def edit(entries):
+        if bad == "column_r0":
+            entries["col"][3, 1] = prm.r0
+        elif bad == "rotation_p":
+            entries["rot"][3, 1] = prm.p
+        else:
+            entries["col"][3, 2] = entries["col"][3, 0]
+
+    with pytest.raises(FormatError):
+        decode_private_key_expanded(_with_v_entries(sk, edit))
+
+
+def test_expanded_v_rows_in_any_order(a3_key):
+    sk, _ = a3_key
+    rng = np.random.default_rng(11)
+
+    def shuffle(entries):
+        for row in entries:
+            row[:] = row[rng.permutation(len(row))]
+
+    blob = _with_v_entries(sk, shuffle)
+    assert blob != encode_private_key_expanded(sk)
+    assert decode_private_key_expanded(blob) == sk
 
 
 # ---------------------------------------------------------------------------

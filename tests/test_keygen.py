@@ -5,19 +5,28 @@ from helpers import (dense_eye, dense_mul, dense_transpose, dense_vec_mul,
                      g_dense, genperm_dense, genperm_transpose, h_dense,
                      invert_q, invert_s, kron_blockmix_apply, q_dense,
                      q_inv_dense, s_dense, s_inv_dense, support_to_int,
-                     toy_private_key, words_to_qc)
+                     toy_private_key, v_qc, words_to_qc)
 from ledasig import keypair_from_seed, toy_params
 from ledasig.drbg import Xof
 from ledasig.keygen import (PrivateKey, apply_s, build_public_key, compute_d,
-                            gen_v)
+                            gen_v, q_correction_mask)
 from ledasig.params import get_instance
-from ledasig.qc import DenseBitMatrix, QcMatrix, transpose_int
+from ledasig.qc import invert_perm, transpose_int
+
+
+def _assert_v_rows(v, prm):
+    cols, rots = v
+    assert cols.shape == rots.shape == (prm.k0, prm.w_g - 1)
+    assert (np.diff(cols, axis=1) > 0).all()     # distinct, ascending
+    assert ((cols >= 0) & (cols < prm.r0)).all()
+    assert ((rots >= 0) & (rots < prm.p)).all()
 
 
 def test_gen_v_block_row_structure():
     prm = toy_params("genv", n0=7, r0=3, p=5, z=1, m_S=1, w=1, w_g=3, m_g=1)
     sk = toy_private_key(prm, b"v")
-    for row in sk.v.blocks:
+    _assert_v_rows(sk.v, prm)
+    for row in v_qc(sk).blocks:
         nonzero = [b for b in row if b]
         assert len(nonzero) == prm.w_g - 1
         assert all(b.bit_count() == 1 for b in nonzero)
@@ -28,14 +37,13 @@ def test_gen_v_block_row_structure():
 
 def test_gen_v_degenerate_wg1():
     prm = toy_params("genv1", n0=7, r0=3, p=5, z=1, m_S=1, w=0, w_g=1, m_g=1)
-    v = gen_v(prm, Xof(b"v"))
-    assert all(b == 0 for row in v.blocks for b in row)
+    cols, rots = gen_v(prm, Xof(b"v"))
+    assert cols.shape == rots.shape == (prm.k0, 0)
 
 
 def test_gen_v_full_scale_row_count(a3_key):
     sk, _ = a3_key
-    for row in sk.v.blocks:
-        assert sum(1 for b in row if b) == sk.params.w_g - 1
+    _assert_v_rows(sk.v, sk.params)
 
 
 def test_s_has_constant_row_and_column_weight(toy13_key):
@@ -96,9 +104,27 @@ def test_s_inverse_roundtrip_apply(toy29_key):
 
 def test_compute_d_zero_a_is_identity():
     prm = toy_params("qd", n0=13, r0=5, p=7, z=2, m_S=3, w=2, w_g=5, m_g=2)
-    a = DenseBitMatrix.from_rows([0] * 5, 2)
-    b = DenseBitMatrix.from_rows([3, 1, 2, 0, 1], 2)
-    assert compute_d(prm, (0, 1, 2, 3, 4), a, b) == DenseBitMatrix.identity(2)
+    a = np.zeros((5, 2), dtype=np.uint8)
+    b = np.array([[1, 1], [1, 0], [0, 1], [0, 0], [1, 0]], dtype=np.uint8)
+    assert np.array_equal(compute_d(prm, (0, 1, 2, 3, 4), a, b), np.eye(2))
+
+
+def test_compute_d_and_k_match_scalar_sums():
+    prm = toy_params("qsum", n0=13, r0=5, p=3, z=3, m_S=3, w=1, w_g=3, m_g=1)
+    q = toy_private_key(prm, b"qs").q
+    inv = invert_perm(q.perm)
+    r0, z = prm.r0, prm.z
+    d = [[int(i == j) ^ (sum(int(q.b[k, i] & q.a[inv[k], j])
+                             for k in range(r0)) & 1)
+          for j in range(z)] for i in range(z)]
+    assert compute_d(prm, q.perm, q.a, q.b).tolist() == d
+    k = [[sum(int(q.a[inv[x], i] & q.d_inv[i, j] & q.b[q.perm[y], j])
+              for i in range(z) for j in range(z)) & 1
+          for y in range(r0)] for x in range(r0)]
+    assert q_correction_mask(q).tolist() == k
+    # 300 rows of ones: the uint8 products wrap, and keep their parity
+    ones = np.ones((300, z), dtype=np.uint8)
+    assert np.array_equal(compute_d(prm, range(300), ones, ones), np.eye(z))
 
 
 def test_q_inverse_dense_toy():
@@ -111,7 +137,7 @@ def test_q_inverse_dense_toy():
 def test_q_inverse_even_p():
     prm = toy_params("qeven", n0=13, r0=5, p=4, z=2, m_S=3, w=1, w_g=3, m_g=1)
     sk = toy_private_key(prm, b"qe")
-    assert sk.q.d_inv == DenseBitMatrix.identity(2)
+    assert np.array_equal(sk.q.d_inv, np.eye(2))
     prod = dense_mul(q_dense(sk), q_inv_dense(sk), prm.r)
     assert prod == dense_eye(prm.r)
 
@@ -158,15 +184,16 @@ def test_public_key_trivial_factors():
     prm = toy_params("pk0", n0=5, r0=2, p=3, z=1, m_S=1, w=0, w_g=1, m_g=1)
     from ledasig.keygen import QFactors, SFactors
     n0, r0, p = prm.n0, prm.r0, prm.p
+    no_v = np.zeros((prm.k0, 0), dtype=np.int64)
     sk = PrivateKey(
         params=prm, seed=b"",
-        v=QcMatrix.zero(prm.k0, r0, p),
+        v=(no_v, no_v),
         s=SFactors((0,) * n0, (0,) * n0, tuple(range(n0)), tuple(range(n0)),
                    1, 1),
         q=QFactors(tuple(range(r0)), (0,) * r0,
-                   DenseBitMatrix.from_rows([0] * r0, 1),
-                   DenseBitMatrix.from_rows([0] * r0, 1),
-                   DenseBitMatrix.identity(1)))
+                   np.zeros((r0, 1), dtype=np.uint8),
+                   np.zeros((r0, 1), dtype=np.uint8),
+                   np.eye(1, dtype=np.uint8)))
     hp = words_to_qc(build_public_key(sk).words, p)
     for i in range(r0):
         for j in range(n0):
@@ -206,7 +233,7 @@ def test_public_key_annihilates_scrambled_codewords_exhaustive():
 def test_public_key_annihilates_rows_full_scale(a3_key):
     sk, pk = a3_key
     prm = sk.params
-    cols, rots = sk.v_row_structure
+    cols, rots = sk.v
     for i in (0, 1, prm.k0 - 1):
         row_sup = [i * prm.p] + [int(c) * prm.p + int(t) + prm.k
                                  for c, t in zip(cols[i], rots[i])]

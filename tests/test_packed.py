@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import dense_vec_mul, qc_to_words, qc_vec_mul
+from helpers import QcMatrix, dense_vec_mul, qc_to_words, qc_vec_mul
 from ledasig import packed
 from ledasig.packed import _HAVE_NUMBA, PackedQc
-from ledasig.qc import QcMatrix, SparseVector
+from ledasig.qc import SparseVector
 
 
 def rnd_qc(rng, rb, cb, p):

@@ -3,17 +3,24 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (BitPoly, dense_eye, dense_mul, dense_transpose,
-                     dense_vec_mul, genperm_dense, genperm_transpose, mul_int,
-                     poly_inverse, poly_mul, qc_mul, qc_vec_mul)
+from helpers import (BitPoly, QcMatrix, dense_eye, dense_mul,
+                     dense_transpose, dense_vec_mul, genperm_dense,
+                     genperm_transpose, mul_int, poly_inverse, poly_mul,
+                     qc_mul, qc_vec_mul, support_to_int)
 from ledasig.errors import DimensionError, NotInvertible, Singular
-from ledasig.qc import (DenseBitMatrix, GenPermutation, QcMatrix,
-                        SparseVector, dense_invert, genperm_from_left,
-                        genperm_from_right, inverse_int, transpose_int)
+from ledasig.qc import (GenPermutation, SparseVector, dense_invert,
+                        genperm_from_left, genperm_from_right, inverse_int,
+                        transpose_int)
 
 
 def rnd_poly(rng, p):
     return rng.getrandbits(p) & ((1 << p) - 1)
+
+
+def _bit_array(rows, ncols):
+    """0/1 array of row ints: bit j of rows[i] at [i, j]."""
+    return np.array([[(r >> j) & 1 for j in range(ncols)] for r in rows],
+                    dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,7 @@ def test_poly_inverse_matches_dense_singularity(p):
         except NotInvertible:
             invertible = False
         try:
-            dense_invert(DenseBitMatrix.from_rows(BitPoly(a, p).to_dense(), p))
+            dense_invert(_bit_array(BitPoly(a, p).to_dense(), p))
             dense_ok = True
         except Singular:
             dense_ok = False
@@ -176,30 +183,37 @@ def test_qc_vec_mul_length_mismatch():
 
 
 def test_dense_invert_identity_and_involution():
-    eye = DenseBitMatrix.identity(4)
-    assert dense_invert(eye) == eye
-    m = DenseBitMatrix.from_rows([0b11, 0b10], 2)  # [[1,1],[0,1]] row-major
-    assert dense_invert(m) == m
+    eye = np.eye(4, dtype=np.uint8)
+    assert np.array_equal(dense_invert(eye), eye)
+    m = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+    assert np.array_equal(dense_invert(m), m)
 
 
 def test_dense_invert_multiply_back():
-    rng = random.Random(7)
+    rng = np.random.default_rng(7)
     for _ in range(5):
         while True:
-            rows = [rng.getrandbits(8) for _ in range(8)]
-            m = DenseBitMatrix.from_rows(rows, 8)
+            m = rng.integers(0, 2, size=(8, 8), dtype=np.uint8)
             try:
                 inv = dense_invert(m)
                 break
             except Singular:
                 continue
-        assert dense_mul(list(m.row_bits), list(inv.row_bits), 8) == dense_eye(8)
-        assert dense_mul(list(inv.row_bits), list(m.row_bits), 8) == dense_eye(8)
+        # against the row-int product oracle: row i packs [i, j] at bit j
+        m_rows = [support_to_int(np.flatnonzero(row)) for row in m]
+        inv_rows = [support_to_int(np.flatnonzero(row)) for row in inv]
+        assert dense_mul(m_rows, inv_rows, 8) == dense_eye(8)
+        assert dense_mul(inv_rows, m_rows, 8) == dense_eye(8)
 
 
 def test_dense_invert_singular():
     with pytest.raises(Singular):
-        dense_invert(DenseBitMatrix.from_rows([0b01, 0b01], 2))
+        dense_invert(np.array([[1, 0], [1, 0]], dtype=np.uint8))
+
+
+def test_dense_invert_not_square():
+    with pytest.raises(DimensionError):
+        dense_invert(np.zeros((2, 3), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from helpers import (dense_vec_mul, h_dense, kron_all_ones, support_to_int,
 from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.params import get_instance
-from ledasig.qc import DenseBitMatrix, PackedVector, SparseVector
+from ledasig.qc import PackedVector, SparseVector
 from ledasig.signer import (Signature, codeword_weight_floor,
                             cw_encode, gen_codeword, gen_error, hash_digest,
                             kernel_check, sign)
@@ -81,12 +81,12 @@ def test_cw_encode_uniformity_a3():
 
 
 def test_kernel_check_zero_vector():
-    b = DenseBitMatrix.from_rows([1, 2, 3], 2)
+    b = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     assert kernel_check(b, SparseVector(15, ()), 5)
 
 
 def test_kernel_check_zero_matrix():
-    b = DenseBitMatrix.from_rows([0, 0, 0], 2)
+    b = np.zeros((3, 2), dtype=np.uint8)
     rng = np.random.default_rng(1)
     for _ in range(20):
         sup = tuple(sorted(rng.choice(15, size=6, replace=False)))
@@ -95,8 +95,8 @@ def test_kernel_check_zero_matrix():
 
 def test_kernel_fraction_exhaustive_toy():
     # fraction of fixed-weight vectors in the kernel is close to 2^-z
-    r0, p, z = 3, 5, 2
-    b = DenseBitMatrix.from_rows([0b01, 0b11, 0b10], z)
+    r0, p = 3, 5
+    b = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
     import itertools
     total = passed = 0
     for sup in itertools.combinations(range(r0 * p), 3):
@@ -108,8 +108,8 @@ def test_kernel_fraction_exhaustive_toy():
 
 def test_kernel_check_exhaustive_against_dense():
     r0, p, z = 3, 5, 2
-    b = DenseBitMatrix.from_rows([0b01, 0b11, 0b10], z)
-    bt_rows = [sum(b.get(j, i) << j for j in range(r0)) for i in range(z)]
+    b = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
+    bt_rows = [sum(int(b[j, i]) << j for j in range(r0)) for i in range(z)]
     dense = kron_all_ones(bt_rows, r0, p)  # (B^T x 1_{1xp}) as z*p rows
     # keep only one row per z (the kron helper replicates rows p times)
     dense = [dense[i * p] for i in range(z)]
