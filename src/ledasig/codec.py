@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, IntegrityError, Singular
 from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
-                     build_public_key, compute_d, private_key_from_seed)
+                     build_public_key, compute_d, private_key_from_seed,
+                     sort_v_rows)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
 from .qc import PackedVector, dense_invert, inverse_int
 from .signer import Signature
@@ -219,9 +220,7 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
     shape = (prm.k0, prm.w_g - 1)
     raw = take(_V_ENTRY.itemsize * shape[0] * shape[1])
     entries = np.frombuffer(raw, dtype=_V_ENTRY).reshape(shape)
-    entries = np.sort(entries, axis=1, order="col")
-    cols = entries["col"].astype(np.int64)
-    rots = entries["rot"].astype(np.int64)
+    cols, rots = sort_v_rows(entries["col"], entries["rot"])
     if ((cols >= r0).any() or (rots >= p).any()
             or (np.diff(cols, axis=1) == 0).any()):
         raise FormatError("invalid sparse row entry")

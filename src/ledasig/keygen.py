@@ -152,9 +152,15 @@ def gen_v(params: SysParams, xof: Xof) -> tuple[np.ndarray, np.ndarray]:
     for i in range(params.k0):
         cols[i] = xof.distinct(params.r0, params.w_g - 1)
         rots[i] = [xof.rotation(params.p) for _ in range(shape[1])]
+    return sort_v_rows(cols, rots)
+
+
+def sort_v_rows(cols: np.ndarray,
+                rots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V's entries with each row sorted by column, as int64 arrays."""
     order = np.argsort(cols, axis=1)
-    return (np.take_along_axis(cols, order, axis=1),
-            np.take_along_axis(rots, order, axis=1))
+    return (np.take_along_axis(cols, order, axis=1).astype(np.int64),
+            np.take_along_axis(rots, order, axis=1).astype(np.int64))
 
 
 def gen_s(params: SysParams, xof: Xof) -> SFactors:
