@@ -109,15 +109,14 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
     floor = codeword_weight_floor(prm)
     cols, rots = sk.v
     for _ in range(_CODEWORD_RETRY_CAP):
-        u = xof.distinct(k, prm.m_g)
-        b, o = np.divmod(np.array(u, dtype=np.int64), p)
+        u = np.array(xof.distinct(k, prm.m_g), dtype=np.int64)
+        b, o = np.divmod(u, p)
         hits = cols[b] * p + (rots[b] + o[:, None]) % p
         counts = np.bincount(hits.ravel(), minlength=r)
         right = np.flatnonzero(counts & 1)
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
-            u_arr = np.array(sorted(u), dtype=np.int64)
-            return np.concatenate((u_arr, right + k))
+            return np.concatenate((np.sort(u), right + k))
     raise RetryExhausted(
         f"no codeword reached weight window after {_CODEWORD_RETRY_CAP} draws")
 

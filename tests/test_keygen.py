@@ -122,9 +122,10 @@ def test_compute_d_and_k_match_scalar_sums():
               for i in range(z) for j in range(z)) & 1
           for y in range(r0)] for x in range(r0)]
     assert q_correction_mask(q).tolist() == k
-    # 300 rows of ones: the uint8 products wrap, and keep their parity
-    ones = np.ones((300, z), dtype=np.uint8)
-    assert np.array_equal(compute_d(prm, range(300), ones, ones), np.eye(z))
+    # 301 rows of ones: the uint8 sums wrap to 45, and keep their parity
+    ones = np.ones((301, z), dtype=np.uint8)
+    assert np.array_equal(compute_d(prm, range(301), ones, ones),
+                          1 - np.eye(z))
 
 
 def test_q_inverse_dense_toy():
