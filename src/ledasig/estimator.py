@@ -621,16 +621,58 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
     return rho1, rho0
 
 
-def _binom_logpmfs(count: int, probs) -> list[np.ndarray]:
-    """Natural-log Binomial(count, prob) pmfs over x = 0..count, one per
-    prob, from one log(x!) array.
+# Natural-log pmf values below this cut lie outside the live window: float64
+# exp underflows to 0 below about -745, so their terms are exact zeros in
+# every sum _coincidence_separation takes.
+_LOG_PMF_CUT = -1000.0
 
-    x and log(x!) end with this call: kept through the caller, they would
-    raise its peak by two count-sized arrays.
+
+def _live_window(count: int, probs) -> tuple[int, int]:
+    """(lo, hi): the x-range over which some Binomial(count, prob) pmf of
+    `probs` has a natural log of at least _LOG_PMF_CUT."""
+    lo, hi = count, 0
+    for prob in probs:
+        mode = min(int((count + 1) * prob), count)
+        lo = min(lo, _last_alive(count, prob, mode, 0))
+        hi = max(hi, _last_alive(count, prob, mode, count))
+    return lo, hi
+
+
+def _last_alive(count: int, prob: float, inside: int, end: int) -> int:
+    """Farthest x from the mode `inside` toward `end` whose log pmf is at
+    least _LOG_PMF_CUT. The pmf is log-concave, so those x form one
+    interval around the mode, and its edge is bisected."""
+    def alive(x: int) -> bool:
+        logpmf = (math.lgamma(count + 1) - math.lgamma(x + 1)
+                  - math.lgamma(count - x + 1)
+                  + x * math.log(prob) + (count - x) * math.log1p(-prob))
+        return logpmf >= _LOG_PMF_CUT
+
+    if alive(end):
+        return end
+    outside = end
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        if alive(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def _binom_logpmfs(count: int, probs, lo: int, hi: int) -> list[np.ndarray]:
+    """Natural-log Binomial(count, prob) pmfs over x = lo..hi, one per
+    prob, from one pair of log-factorial arrays.
+
+    Each entry equals, bit for bit, the one a full 0..count array would
+    hold; the arrays are hi - lo + 1 long, so the scan's peak memory
+    follows the live window of _live_window, not count.
     """
-    x = np.arange(count + 1, dtype=np.float64)
-    log_fact = gammaln(x + 1)
-    return [log_fact[-1] - log_fact - log_fact[::-1]
+    x = np.arange(lo, hi + 1, dtype=np.float64)
+    log_x_fact = gammaln(x + 1)
+    log_rest_fact = gammaln(count - x + 1)
+    log_count_fact = gammaln(count + 1.0)
+    return [log_count_fact - log_x_fact - log_rest_fact
             + x * math.log(prob) + (count - x) * math.log1p(-prob)
             for prob in probs]
 
@@ -639,13 +681,19 @@ def _coincidence_separation(params: SysParams, collected: int,
                             rhos: tuple[float, float]) -> tuple[float, float]:
     """(1 - rho_v, rho_v): probability that no/some pair from one column
     of the scrambler beats every background pair count, given the pair
-    probabilities `rhos` of _pair_coincidence_probs."""
+    probabilities `rhos` of _pair_coincidence_probs.
+
+    Both sums run over the live window of the two pair-count pmfs only:
+    every term outside it is an exact 0.0 in float64, so the results
+    differ from full-range sums by the pairwise grouping of np.sum alone.
+    """
     n = params.n
     m2 = params.m_S * (params.m_S - 1) // 2
     n_bg = n * (n - 1) // 2 - n * m2
-    logpmf1, logpmf0 = _binom_logpmfs(collected, rhos)
+    lo, hi = _live_window(collected, rhos)
+    logpmf1, logpmf0 = _binom_logpmfs(collected, rhos, lo, hi)
 
-    # natural-log CDFs, inclusive and exclusive
+    # natural-log CDFs, inclusive and exclusive, from the window's lo
     cdf1_incl = np.logaddexp.accumulate(logpmf1)
     cdf1_incl = np.minimum(cdf1_incl, 0.0)
     cdf1_excl = np.concatenate(([-np.inf], cdf1_incl[:-1]))
@@ -655,8 +703,9 @@ def _coincidence_separation(params: SysParams, collected: int,
     pmf_max = np.exp(m2 * cdf1_incl) * (-np.expm1(
         np.where(delta == -np.inf, -np.inf, m2 * delta)))
 
+    # log P[X0 >= x], from the window's hi down
     tail0 = np.logaddexp.accumulate(logpmf0[::-1])[::-1]
-    tail0 = np.minimum(tail0, 0.0)      # log P[X0 >= x]
+    tail0 = np.minimum(tail0, 0.0)
     with np.errstate(divide="ignore"):
         log_rho_prime = np.log1p(-np.exp(tail0))     # log P[X0 < x]
     exponent = n_bg * log_rho_prime
@@ -713,7 +762,11 @@ def stat_lifetime(params: SysParams, security_exponent: float
 
 
 def _scan_max_count(f_log2, lam: float, start: int = 1024) -> int:
-    """Largest N with f(N) < -lam, by doubling bracket then bisection."""
+    """Largest N with f(N) < -lam, by doubling bracket then bisection.
+
+    The bisection needs f to grow with N, so a doubling probe that falls
+    more than 1e-6 below the one before it raises.
+    """
     threshold = -lam
     lo, hi = 1, start
     prev = f_log2(lo)
@@ -721,8 +774,10 @@ def _scan_max_count(f_log2, lam: float, start: int = 1024) -> int:
         return 0
     while True:
         val = f_log2(hi)
-        if val > prev + 1e-9 or val >= threshold:
-            assert val >= prev - 1e-6, "cover probability must grow with N"
+        if val < prev - 1e-6:
+            raise RuntimeError("lifetime scan: cover probability fell from "
+                               f"2^{prev:.6g} at N={lo} to 2^{val:.6g} at "
+                               f"N={hi}")
         if val >= threshold:
             break
         lo, prev = hi, val

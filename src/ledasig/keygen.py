@@ -28,6 +28,7 @@ order below is fixed and replaying a seed reproduces the key bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -221,15 +222,30 @@ def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
 
     C(e_poly) is the n0 x n0 circulant of e_poly: output block b - d
     collects input block b for every d in the support of e_poly.  Positions
-    keep their order and repeats until one parity count at the end.
+    keep their order and repeats until one parity at the end.  While m log2 m
+    stays below n, sorting the m positions costs less than an n-sized count:
+    each pass over the sorted positions gives every one still present the
+    pass's parity and drops one copy of each, so a position ends set iff it
+    occurs an odd number of times.  Larger m (signatures, the dense a3 rows)
+    are counted.
     """
     prm = sk.params
     p, n0 = prm.p, prm.n0
     blk, o = np.divmod(sk.pi_phi.apply(pos), p)
     mixed = ((blk[:, None] - _support(e_poly, n0)) % n0) * p + o[:, None]
-    counts = np.bincount(sk.pi_lambda.apply(mixed.ravel()), minlength=prm.n)
-    counts &= 1
-    return counts.astype(bool)
+    out = sk.pi_lambda.apply(mixed.ravel())
+    if out.size * math.log2(out.size + 1) >= prm.n:
+        counts = np.bincount(out, minlength=prm.n)
+        counts &= 1
+        return counts.astype(bool)
+    out.sort()
+    bits = np.zeros(prm.n, dtype=bool)
+    odd = True
+    while out.size:
+        bits[out] = odd
+        out = out[np.flatnonzero(out[1:] == out[:-1]) + 1]
+        odd = not odd
+    return bits
 
 
 def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:

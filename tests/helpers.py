@@ -7,12 +7,15 @@ packed in ints), the polynomial and quasi-cyclic products, the inverse
 application procedures for S and Q, and the transposed
 generalized-permutation map live here because only tests use them.  So do
 the scalar AND / XOR weight-distribution loops that the estimator's array
-steps must reproduce bit for bit.
+steps must reproduce bit for bit, and the full-range coincidence
+separation that the estimator's live-window sums must reproduce.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
@@ -498,3 +501,40 @@ def xor_weight_dist_loop(n: int, weights) -> np.ndarray:
             new[live] = np.logaddexp2(new[live], dist[x] + pair[live])
         dist = new
     return dist
+
+
+# ---------------------------------------------------------------------------
+# full-range coincidence separation
+
+
+def binom_logpmfs_full(count: int, probs) -> list[np.ndarray]:
+    """Natural-log Binomial(count, prob) pmfs over every x = 0..count."""
+    x = np.arange(count + 1, dtype=np.float64)
+    log_fact = gammaln(x + 1)
+    return [log_fact[-1] - log_fact - log_fact[::-1]
+            + x * math.log(prob) + (count - x) * math.log1p(-prob)
+            for prob in probs]
+
+
+def coincidence_separation_full(params, collected: int,
+                                rhos) -> tuple[float, float]:
+    """(q_v, rho_v) of estimator._coincidence_separation, summed over the
+    whole range x = 0..collected."""
+    n = params.n
+    m2 = params.m_S * (params.m_S - 1) // 2
+    n_bg = n * (n - 1) // 2 - n * m2
+    logpmf1, logpmf0 = binom_logpmfs_full(collected, rhos)
+
+    cdf1_incl = np.minimum(np.logaddexp.accumulate(logpmf1), 0.0)
+    cdf1_excl = np.concatenate(([-np.inf], cdf1_incl[:-1]))
+    with np.errstate(invalid="ignore"):
+        delta = np.where(cdf1_excl == -np.inf, -np.inf, cdf1_excl - cdf1_incl)
+    pmf_max = np.exp(m2 * cdf1_incl) * (-np.expm1(
+        np.where(delta == -np.inf, -np.inf, m2 * delta)))
+
+    tail0 = np.minimum(np.logaddexp.accumulate(logpmf0[::-1])[::-1], 0.0)
+    with np.errstate(divide="ignore"):
+        exponent = n_bg * np.log1p(-np.exp(tail0))
+    q_v = float(np.sum(pmf_max * -np.expm1(exponent)))
+    rho_v = float(np.sum(pmf_max * np.exp(exponent)))
+    return q_v, rho_v

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import and_weight_dist_loop, xor_weight_dist_loop
-from ledasig import toy_params
+from helpers import (and_weight_dist_loop, binom_logpmfs_full,
+                     coincidence_separation_full, xor_weight_dist_loop)
+from ledasig import estimator, toy_params
 from ledasig.estimator import (IsdTarget, SiaInputs,
                                SternParams, and_weight_dist, bjmm_approx_wf,
                                decoding_attack_target, full_report,
@@ -17,7 +18,10 @@ from ledasig.estimator import (IsdTarget, SiaInputs,
                                unique_decoding_radius, xor_weight_dist,
                                _iterated_and_dist, _lb, _lb_array,
                                _stern_wf_at, _GROVER_PREFACTOR_LOG2,
-                               _P_INV_LOG2, _stern_iteration_cost_log2)
+                               _P_INV_LOG2, _stern_iteration_cost_log2,
+                               _LOG_PMF_CUT, _coincidence_separation,
+                               _live_window, _pair_coincidence_probs,
+                               _scan_max_count)
 from ledasig.params import get_instance
 
 A3 = get_instance("a3")
@@ -317,6 +321,78 @@ def test_stat_lifetime_monotone_threshold():
     _, qc_128 = stat_lifetime(A3, 128)
     _, qc_80 = stat_lifetime(A3, 80)
     assert qc_80 >= qc_128
+
+
+def _lifetime_probes(monkeypatch, prm) -> list[int]:
+    """Every N at which stat_lifetime evaluates the coincidence separation."""
+    seen = set()
+    inner = estimator._coincidence_separation
+
+    def recording(params, collected, rhos):
+        seen.add(collected)
+        return inner(params, collected, rhos)
+
+    monkeypatch.setattr(estimator, "_coincidence_separation", recording)
+    stat_lifetime(prm, prm.security_level)
+    monkeypatch.undo()
+    return sorted(seen)
+
+
+def _assert_window_tight(collected, rhos):
+    """Both pmfs are below the cut just outside [lo, hi], and one of them
+    reaches it at each edge."""
+    lo, hi = _live_window(collected, rhos)
+    pmfs = binom_logpmfs_full(collected, rhos)
+    if lo > 0:
+        assert all(pmf[lo - 1] < _LOG_PMF_CUT for pmf in pmfs)
+    if hi < collected:
+        assert all(pmf[hi + 1] < _LOG_PMF_CUT for pmf in pmfs)
+    assert max(pmf[lo] for pmf in pmfs) >= _LOG_PMF_CUT
+    assert max(pmf[hi] for pmf in pmfs) >= _LOG_PMF_CUT
+
+
+@pytest.mark.parametrize("name", ["a3", "b6"])
+def test_separation_window_matches_full_range_at_scan_probes(
+        monkeypatch, name):
+    prm = get_instance(name)
+    rhos = _pair_coincidence_probs(prm)
+    probes = _lifetime_probes(monkeypatch, prm)
+    assert len(probes) > 20
+    for collected in probes:
+        _assert_window_tight(collected, rhos)
+        window = _coincidence_separation(prm, collected, rhos)
+        full = coincidence_separation_full(prm, collected, rhos)
+        assert np.allclose(window, full, rtol=1e-14, atol=0), collected
+
+
+@pytest.mark.parametrize("collected", [1024, 1 << 19, 762387, 1 << 20])
+def test_separation_window_matches_full_range_gamma3(collected):
+    prm = get_instance("gamma3")
+    rhos = _pair_coincidence_probs(prm)
+    _assert_window_tight(collected, rhos)
+    window = _coincidence_separation(prm, collected, rhos)
+    full = coincidence_separation_full(prm, collected, rhos)
+    assert np.allclose(window, full, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", ["a3", "b6", "gamma3"])
+def test_separation_window_covering_everything_is_bit_equal(name):
+    prm = get_instance(name)
+    rhos = _pair_coincidence_probs(prm)
+    for collected in range(1, 65):
+        assert _live_window(collected, rhos) == (0, collected)
+        assert (_coincidence_separation(prm, collected, rhos)
+                == coincidence_separation_full(prm, collected, rhos))
+
+
+def test_scan_max_count_rejects_a_falling_probe():
+    with pytest.raises(RuntimeError, match="fell"):
+        _scan_max_count(lambda n: -100.0 - n, 50.0)
+
+
+def test_scan_max_count_bracket_and_bisection():
+    assert _scan_max_count(lambda n: n - 5000.5, 0.0) == 5000
+    assert _scan_max_count(lambda n: 1.0, 0.0) == 0
 
 
 # ---------------------------------------------------------------------------

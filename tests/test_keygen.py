@@ -102,6 +102,18 @@ def test_s_inverse_roundtrip_apply(toy29_key):
         assert np.array_equal(back, sup)
 
 
+def test_apply_s_matches_dense_at_every_support_size():
+    # few positions are sorted, many counted: cover both and the crossover
+    prm = toy_params("sapp", n0=13, r0=5, p=3, z=2, m_S=5, w=1, w_g=3, m_g=1)
+    sk = toy_private_key(prm, b"sa")
+    rows = s_dense(sk)
+    rng = np.random.default_rng(5)
+    for size in range(prm.n + 1):
+        sup = np.sort(rng.choice(prm.n, size=size, replace=False))
+        got = support_to_int(apply_s(sk, sup).positions())
+        assert got == dense_vec_mul(rows, support_to_int(sup)), size
+
+
 def test_compute_d_zero_a_is_identity():
     prm = toy_params("qd", n0=13, r0=5, p=7, z=2, m_S=3, w=2, w_g=5, m_g=2)
     a = np.zeros((5, 2), dtype=np.uint8)
