@@ -177,9 +177,6 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

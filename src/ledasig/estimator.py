@@ -9,12 +9,16 @@ coincidence counting.
 
 Binomials of size C(~30000, ~900) appear throughout, so probabilities
 are carried as log2 values and sums use max-shifted exponential sums.
+Each quantity has one form: every hypergeometric parity probability is
+_parity_sum (one marked set) or _pair_parity_sum (two disjoint marked
+sets), every pair-overlap pmf is _pair_and_dist, and sia_wf is the one
+SIA evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -119,12 +123,6 @@ def _iterated_and_dist(n: int, w: int, count: int) -> np.ndarray:
     return _and_step(n, _iterated_and_dist(n, w, count - 1), w, w + 1)
 
 
-def p_and(n: int, weights, y: int) -> float:
-    """log2 P[wt(AND of the given weight-w_i vectors) = y]."""
-    dist = and_weight_dist(n, weights)
-    return float(dist[y]) if y < len(dist) else NEG_INF
-
-
 def _xor_step(n: int, dist: np.ndarray, w: int) -> np.ndarray:
     """XOR one more independent weight-w vector into a weight
     distribution over 0..n.
@@ -134,13 +132,11 @@ def _xor_step(n: int, dist: np.ndarray, w: int) -> np.ndarray:
     x + w - 2i.
     """
     new = np.full(n + 1, NEG_INF)
-    i = np.arange(w + 1)
-    denom = _lb(n, w)
     for x in np.flatnonzero(dist != NEG_INF).tolist():
-        pair = _lb_array(x, i) + _lb_array(n - x, w - i) - denom
-        live = pair != NEG_INF
-        y = (x + w - 2 * i)[live]
-        new[y] = np.logaddexp2(new[y], dist[x] + pair[live])
+        pair = _pair_and_dist(n, x, w)
+        i = np.flatnonzero(pair != NEG_INF)
+        y = x + w - 2 * i
+        new[y] = np.logaddexp2(new[y], dist[x] + pair[i])
     return new
 
 
@@ -152,13 +148,6 @@ def xor_weight_dist(n: int, weights) -> np.ndarray:
     for w in weights[1:]:
         dist = _xor_step(n, dist, w)
     return dist
-
-
-def p_xor(n: int, weights, y: int) -> float:
-    """log2 P[wt(XOR of the given weight-w_i vectors) = y]."""
-    if y > n or y < 0:
-        return NEG_INF
-    return float(xor_weight_dist(n, weights)[y])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +316,6 @@ def signature_space(params: SysParams) -> SignatureSpace:
 @dataclass(frozen=True)
 class LcaEstimate:
     wf_log2: float
-    wf_sqrt_log2: float      # theoretical full-Grover variant
     combinations: int        # minimizing L
 
 
@@ -349,59 +337,24 @@ def lca_wf(params: SysParams, max_combinations: int = 8) -> LcaEstimate:
         wf = cost - p_syndrome - p_info
         if wf < best:
             best, best_l = wf, ell
-    return LcaEstimate(best, best / 2.0, best_l)
+    return LcaEstimate(best, best_l)
 
 
 # ---------------------------------------------------------------------------
 # forgery by support intersection
 
 
-@dataclass(frozen=True)
-class SiaInputs:
-    collected: int            # L, number of intersected signature pairs
-    w_l: int                  # intersected syndrome weight
-    d_b: int                  # minimum distance of the code spanned by B
-    params: SysParams = field(repr=False, default=None)
-
-    @property
-    def w_l_wide(self) -> int:
-        return self.params.m_S * self.w_l
-
-    @property
-    def l_col(self) -> int:
-        return _l_col(self.params)
-
-
 def _l_col(params: SysParams) -> int:
     return int(math.floor(params.m_S * params.r / params.n + 0.5))
 
 
-@dataclass(frozen=True)
-class SiaProbabilities:
-    p_i1: float               # linear-domain probabilities
-    p_i2_keep: float
-    p_i2_flip: float
-    p_i: float
-    p_j1: float
-    p_j: float
-    p_i_counts_log2: tuple    # P[bit in I set exactly x times], x = 0..L
-    p_j_counts_log2: tuple
-    p_i_ge_log2: tuple        # all I-bits set >= x times (one exactly x)
-    p_j_le_log2: tuple        # all J-bits set <= x times
-    p_i_ge_j_log2: float
-    p_and_log2: float
-    p_sia_log2: float
-
-
-def _parity_sum(n_pool: int, ones: int, draws: int, parity: int,
-                kmax: int | None = None) -> float:
+def _parity_sum(n_pool: int, ones: int, draws: int, parity: int) -> float:
     """P[# drawn marked elements has given parity], hypergeometric."""
     if draws < 0:
         return 0.0 if parity else 1.0
     denom = _lb(n_pool, draws)
     total = NEG_INF
-    top = min(ones, draws) if kmax is None else min(kmax, ones, draws)
-    for i in range(parity, top + 1, 2):
+    for i in range(parity, min(ones, draws) + 1, 2):
         total = np.logaddexp2(
             total, _lb(ones, i) + _lb(n_pool - ones, draws - i) - denom)
     return float(2.0 ** total) if total != NEG_INF else 0.0
@@ -436,47 +389,30 @@ def _bit_probabilities(params: SysParams, w_l: int,
     return p_i1, p_i, p_j1, p_j
 
 
-def _count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
-    """(pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j) over ell pairs for
-    wlw tracked I-bits: see SiaProbabilities."""
+def _p_i_ge_j(n: int, ell: int, wlw: int, p_i: float, p_j: float) -> float:
+    """log2 P[every one of wlw tracked I-bits is set more often over ell
+    pairs than every one of the n - wlw J-bits], each bit set
+    Binomial(ell, p_i) or Binomial(ell, p_j) times."""
     log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
     log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
+    # P[an I-bit is set exactly x times], x = 1..ell; a J-bit, x = 0..ell-1
     pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
-                 for x in range(ell + 1)]
+                 for x in range(1, ell + 1)]
     pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
-                 for x in range(ell + 1)]
-
-    # tails: P[all w'_L I-bits >= x (one exactly x)], P[all n-w'_L J-bits <= x]
-    pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 2)]
-    pi_ge = []
-    for x in range(ell + 1):
-        hi, lo = pi_tail[x], pi_tail[x + 1]
-        pi_ge.append(_log2_pow_diff(hi, lo, wlw))
-    pj_cdf = [log2_sum(pj_counts[:x + 1]) for x in range(ell + 1)]
-    pj_le = [min(0.0, (n - wlw) * c) if c != NEG_INF else NEG_INF
-             for c in pj_cdf]
-
-    p_i_ge_j = log2_sum(
-        pj_le[i] + pi_ge[i + 1] for i in range(ell) if pi_ge[i + 1] != NEG_INF)
-    return pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j
-
-
-def sia_probabilities(params: SysParams, inputs: SiaInputs) -> SiaProbabilities:
-    if inputs.w_l < inputs.d_b:
-        raise ValueError("intersected weight below the distance of B's code")
-    ell, w_l = inputs.collected, inputs.w_l
-    rows = _codeword_row_parities(params)
-    p_i1, p_i, p_j1, p_j = _bit_probabilities(params, w_l, rows)
-    pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j = _count_tails(
-        params.n, ell, inputs.w_l_wide, p_i, p_j)
-    p_and = p_and_intersection(params, ell, w_l)
-    return SiaProbabilities(
-        p_i1=p_i1, p_i2_keep=rows[0], p_i2_flip=rows[1], p_i=p_i,
-        p_j1=p_j1, p_j=p_j,
-        p_i_counts_log2=tuple(pi_counts), p_j_counts_log2=tuple(pj_counts),
-        p_i_ge_log2=tuple(pi_ge), p_j_le_log2=tuple(pj_le),
-        p_i_ge_j_log2=p_i_ge_j, p_and_log2=p_and,
-        p_sia_log2=p_and + p_i_ge_j)
+                 for x in range(ell)]
+    # P[an I-bit is set >= x times], x = 1..ell + 1
+    pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 1)]
+    total = []
+    for x in range(ell):
+        # all I-bits set >= x + 1 times, one exactly x + 1 ...
+        pi_ge = _log2_pow_diff(pi_tail[x], pi_tail[x + 1], wlw)
+        if pi_ge == NEG_INF:
+            continue
+        # ... and all J-bits set <= x times
+        cdf = log2_sum(pj_counts[:x + 1])
+        pj_le = min(0.0, (n - wlw) * cdf) if cdf != NEG_INF else NEG_INF
+        total.append(pj_le + pi_ge)
+    return log2_sum(total)
 
 
 def p_and_intersection(params: SysParams, ell: int, w_l: int) -> float:
@@ -507,7 +443,6 @@ def _log2_pow_diff(hi: float, lo: float, power: float) -> float:
 @dataclass(frozen=True)
 class SiaEstimate:
     wf_log2: float
-    wf_sqrt_log2: float
     collected: int
     w_l: int
 
@@ -531,23 +466,19 @@ def sia_wf(params: SysParams, d_b: int | None = None,
     best = (math.inf, 2, d_b)
     for ell in range(2, max_collected + 1):
         for w_l, (_, p_i, _, p_j) in bits.items():
-            p_igej = _count_tails(params.n, ell, params.m_S * w_l,
-                                  p_i, p_j)[-1]
+            p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_l, p_i, p_j)
             wf = _sia_wf_at(params, ell, w_l,
                             p_and_intersection(params, ell, w_l), p_igej)
             if wf < best[0]:
                 best = (wf, ell, w_l)
-    return SiaEstimate(best[0], best[0] / 2.0, best[1], best[2])
+    return SiaEstimate(best[0], best[1], best[2])
 
 
 def _sia_wf_at(params: SysParams, ell: int, w_l: int, p_and_log2: float,
                p_igej: float) -> float:
-    """Work factor at one (L, w_L) from sia_probabilities' p_and_log2 and
-    p_i_ge_j_log2."""
+    """Work factor at one (L, w_L) from p_and_intersection and _p_i_ge_j."""
     w, r, n = params.w, params.r, params.n
-    if p_and_log2 == NEG_INF:
-        return math.inf
-    if p_igej == NEG_INF:
+    if p_and_log2 == NEG_INF or p_igej == NEG_INF:
         return math.inf
     wlw = params.m_S * w_l
     c_s1 = math.log2((ell - 1) * w)
@@ -579,12 +510,20 @@ def _sia_wf_at(params: SysParams, ell: int, w_l: int, p_and_log2: float,
 
 def signature_bit_probability(params: SysParams) -> float:
     """Expected value of a single signature bit under the sparse-sum model."""
-    n, m_s = params.n, params.m_S
-    wprime = params.w + params.m_g * params.w_g
+    return _parity_sum(params.n, params.m_S,
+                       params.w + params.m_g * params.w_g, 1)
+
+
+def _pair_parity_sum(pool: int, ones: int, draws: int, parity: int) -> float:
+    """P[two disjoint marked sets of `ones` elements each both hold a count
+    of the given parity among `draws` drawn from `pool`], hypergeometric."""
+    rest = pool - 2 * ones
+    denom = _lb(pool, draws)
     total = NEG_INF
-    for l in range(1, m_s + 1, 2):
-        total = np.logaddexp2(
-            total, _lb(m_s, l) + _lb(n - m_s, wprime - l) - _lb(n, wprime))
+    for l in range(parity, ones + 1, 2):
+        for u in range(parity, ones + 1, 2):
+            total = np.logaddexp2(total, _lb(ones, l) + _lb(ones, u)
+                                  + _lb(rest, draws - l - u) - denom)
     return float(2.0 ** total)
 
 
@@ -592,32 +531,11 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
     """(same-column pair probability, disjoint pair probability)."""
     n, m_s = params.n, params.m_S
     wp = params.w + params.m_g * params.w_g
-
-    shared = NEG_INF
-    for l in range(0, m_s, 2):
-        for u in range(0, m_s, 2):
-            t = (_lb(m_s - 1, l) + _lb(m_s - 1, u)
-                 + _lb(n + 1 - 2 * m_s, wp - l - u - 1) - _lb(n - 1, wp - 1))
-            shared = np.logaddexp2(shared, t)
-    rho_shared = (wp / n) * float(2.0 ** shared)
-
-    unshared = NEG_INF
-    for l in range(1, m_s - 1, 2):
-        for u in range(1, m_s - 1, 2):
-            t = (_lb(m_s - 1, l) + _lb(m_s - 1, u)
-                 + _lb(n + 1 - 2 * m_s, wp - l - u) - _lb(n - 1, wp))
-            unshared = np.logaddexp2(unshared, t)
-    rho_unshared = ((n - wp) / n) * float(2.0 ** unshared)
-
-    rho1 = rho_shared + rho_unshared
-
-    disjoint = NEG_INF
-    for l in range(1, m_s + 1, 2):
-        for u in range(1, m_s + 1, 2):
-            t = (_lb(m_s, l) + _lb(m_s, u)
-                 + _lb(n - 2 * m_s, wp - l - u) - _lb(n, wp))
-            disjoint = np.logaddexp2(disjoint, t)
-    rho0 = float(2.0 ** disjoint)
+    # a pair in one scrambler column shares one of its m_S positions;
+    # the shared position is drawn (even counts elsewhere) or not (odd)
+    rho1 = ((wp / n) * _pair_parity_sum(n - 1, m_s - 1, wp - 1, 0)
+            + ((n - wp) / n) * _pair_parity_sum(n - 1, m_s - 1, wp, 1))
+    rho0 = _pair_parity_sum(n, m_s, wp, 1)
     return rho1, rho0
 
 
@@ -727,7 +645,7 @@ def _log2_graph_cover_prob(params: SysParams, separation: tuple[float, float],
             return NEG_INF
         log_q = math.log1p(-rho_v) if rho_v < 0.5 else _safe_ln(q_v)
         if log_q == NEG_INF:
-            return 0.0 * params.n0    # q_v = 0: cover certain
+            return 0.0    # q_v = 0: cover certain
         qvp = params.p * log_q
         if qvp < -1e-8:
             log_ptilde = math.log(-math.expm1(qvp))

@@ -117,10 +117,6 @@ class SysParams:
         return {1: 32, 3: 48, 5: 64}[self.category]
 
     @property
-    def digest_bytes(self) -> int:
-        return {1: 32, 3: 48, 5: 64}[self.category]
-
-    @property
     def block_bytes(self) -> int:
         """Serialized bytes per circulant block (64-bit word aligned)."""
         return ((self.p + 63) // 64) * 8

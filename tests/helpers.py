@@ -7,8 +7,10 @@ packed in ints), the polynomial and quasi-cyclic products, the inverse
 application procedures for S and Q, and the transposed
 generalized-permutation map live here because only tests use them.  So do
 the scalar AND / XOR weight-distribution loops that the estimator's array
-steps must reproduce bit for bit, and the full-range coincidence
-separation that the estimator's live-window sums must reproduce.
+steps must reproduce bit for bit, the written-out parity-sum loops and
+SIA count tails that its single parity sums and _p_i_ge_j must reproduce
+bit for bit, and the full-range coincidence separation that its
+live-window sums must reproduce.
 """
 
 import math
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
-from ledasig.estimator import NEG_INF, _lb
+from ledasig.estimator import (NEG_INF, _lb, _log2_pow_diff, _safe_log2,
+                               log2_sum)
 from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
                             q_correction_mask)
 from ledasig.qc import (GenPermutation, SparseVector, inverse_int,
@@ -501,6 +505,88 @@ def xor_weight_dist_loop(n: int, weights) -> np.ndarray:
             new[live] = np.logaddexp2(new[live], dist[x] + pair[live])
         dist = new
     return dist
+
+
+# ---------------------------------------------------------------------------
+# written-out parity sums and SIA count tails
+
+
+# small enough for the Monte-Carlo checks of the SIA bit model
+SIATOY = toy_params("siatoy", n0=12, r0=6, p=2, z=2, m_S=3, w=4, w_g=3, m_g=2)
+
+
+def signature_bit_probability_loop(params) -> float:
+    """estimator.signature_bit_probability as its own odd-l loop."""
+    n, m_s = params.n, params.m_S
+    wprime = params.w + params.m_g * params.w_g
+    total = NEG_INF
+    for l in range(1, m_s + 1, 2):
+        total = np.logaddexp2(
+            total, _lb(m_s, l) + _lb(n - m_s, wprime - l) - _lb(n, wprime))
+    return float(2.0 ** total)
+
+
+def pair_coincidence_probs_loops(params) -> tuple[float, float]:
+    """estimator._pair_coincidence_probs as three written-out double
+    loops: shared, unshared and disjoint pairs."""
+    n, m_s = params.n, params.m_S
+    wp = params.w + params.m_g * params.w_g
+
+    shared = NEG_INF
+    for l in range(0, m_s, 2):
+        for u in range(0, m_s, 2):
+            t = (_lb(m_s - 1, l) + _lb(m_s - 1, u)
+                 + _lb(n + 1 - 2 * m_s, wp - l - u - 1) - _lb(n - 1, wp - 1))
+            shared = np.logaddexp2(shared, t)
+    rho_shared = (wp / n) * float(2.0 ** shared)
+
+    unshared = NEG_INF
+    for l in range(1, m_s - 1, 2):
+        for u in range(1, m_s - 1, 2):
+            t = (_lb(m_s - 1, l) + _lb(m_s - 1, u)
+                 + _lb(n + 1 - 2 * m_s, wp - l - u) - _lb(n - 1, wp))
+            unshared = np.logaddexp2(unshared, t)
+    rho_unshared = ((n - wp) / n) * float(2.0 ** unshared)
+
+    rho1 = rho_shared + rho_unshared
+
+    disjoint = NEG_INF
+    for l in range(1, m_s + 1, 2):
+        for u in range(1, m_s + 1, 2):
+            t = (_lb(m_s, l) + _lb(m_s, u)
+                 + _lb(n - 2 * m_s, wp - l - u) - _lb(n, wp))
+            disjoint = np.logaddexp2(disjoint, t)
+    rho0 = float(2.0 ** disjoint)
+    return rho1, rho0
+
+
+def count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
+    """(pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j) over ell pairs for
+    wlw tracked I-bits, every entry from x = 0 to ell:
+
+    pi_counts[x], pj_counts[x]: log2 P[an I-bit / a J-bit set exactly x
+    times]; pi_ge[x]: all I-bits set >= x times, one exactly x; pj_le[x]:
+    all n - wlw J-bits set <= x times; p_i_ge_j is estimator._p_i_ge_j.
+    """
+    log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
+    log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
+    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
+                 for x in range(ell + 1)]
+    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
+                 for x in range(ell + 1)]
+
+    pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 2)]
+    pi_ge = []
+    for x in range(ell + 1):
+        hi, lo = pi_tail[x], pi_tail[x + 1]
+        pi_ge.append(_log2_pow_diff(hi, lo, wlw))
+    pj_cdf = [log2_sum(pj_counts[:x + 1]) for x in range(ell + 1)]
+    pj_le = [min(0.0, (n - wlw) * c) if c != NEG_INF else NEG_INF
+             for c in pj_cdf]
+
+    p_i_ge_j = log2_sum(
+        pj_le[i] + pi_ge[i + 1] for i in range(ell) if pi_ge[i + 1] != NEG_INF)
+    return pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j
 
 
 # ---------------------------------------------------------------------------

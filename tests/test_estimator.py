@@ -5,24 +5,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (and_weight_dist_loop, binom_logpmfs_full,
-                     coincidence_separation_full, xor_weight_dist_loop)
+from helpers import (SIATOY, and_weight_dist_loop, binom_logpmfs_full,
+                     coincidence_separation_full, count_tails,
+                     pair_coincidence_probs_loops,
+                     signature_bit_probability_loop, xor_weight_dist_loop)
 from ledasig import estimator, toy_params
-from ledasig.estimator import (IsdTarget, SiaInputs,
+from ledasig.estimator import (IsdTarget,
                                SternParams, and_weight_dist, bjmm_approx_wf,
                                decoding_attack_target, full_report,
                                lca_wf, log2_binom,
-                               log2_sum, p_and, p_xor, quantum_stern_wf,
-                               sia_probabilities, sia_wf, signature_space,
+                               log2_sum, p_and_intersection, quantum_stern_wf,
+                               sia_wf, signature_bit_probability,
+                               signature_space,
                                stat_lifetime, stern_success_log2,
                                unique_decoding_radius, xor_weight_dist,
+                               _bit_probabilities, _codeword_row_parities,
                                _iterated_and_dist, _lb, _lb_array,
+                               _p_i_ge_j, _sia_wf_at,
                                _stern_wf_at, _GROVER_PREFACTOR_LOG2,
                                _P_INV_LOG2, _stern_iteration_cost_log2,
                                _LOG_PMF_CUT, _coincidence_separation,
                                _live_window, _pair_coincidence_probs,
                                _scan_max_count)
-from ledasig.params import get_instance
+from ledasig.params import INSTANCES, get_instance
 
 A3 = get_instance("a3")
 
@@ -93,12 +98,12 @@ def test_p_and_matches_enumeration(n, weights):
 
 
 def test_p_and_full_weight_certainty():
-    assert p_and(8, (8, 8), 8) == 0.0   # log2(1)
+    assert and_weight_dist(8, (8, 8))[8] == 0.0   # log2(1)
 
 
 def test_p_xor_hand_example():
     # two weight-2 vectors in n=6, XOR weight 4: 6/15
-    assert abs(2.0 ** p_xor(6, (2, 2), 4) - 0.4) < 1e-12
+    assert abs(2.0 ** xor_weight_dist(6, (2, 2))[4] - 0.4) < 1e-12
 
 
 def test_distributions_normalize():
@@ -109,7 +114,7 @@ def test_distributions_normalize():
 
 
 def test_p_xor_parity_infeasible():
-    assert p_xor(10, (2, 2), 3) == -math.inf
+    assert xor_weight_dist(10, (2, 2))[3] == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,34 @@ def test_iterated_and_dist_equals_scalar_fold():
         assert np.array_equal(
             _iterated_and_dist(A3.r, A3.w, count),
             and_weight_dist_loop(A3.r, [A3.w] * count)), count
+
+
+PARITY_PARAMS = [*INSTANCES.values(), toy_params("toy29"),
+                 toy_params("toy29w"), SIATOY]
+
+
+@pytest.mark.parametrize("prm", PARITY_PARAMS, ids=lambda prm: prm.name)
+def test_parity_sums_equal_written_out_loops(prm):
+    assert signature_bit_probability(prm) == signature_bit_probability_loop(prm)
+    assert _pair_coincidence_probs(prm) == pair_coincidence_probs_loops(prm)
+
+
+@pytest.mark.parametrize("name", ["a3", "b6"])
+def test_p_i_ge_j_equals_count_tails_where_sia_wf_looks(monkeypatch, name):
+    prm = get_instance(name)
+    calls = []
+    inner = estimator._p_i_ge_j
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(estimator, "_p_i_ge_j", recording)
+    sia_wf(prm)
+    monkeypatch.undo()
+    assert len(calls) == 15 * (prm.w - prm.z + 1)
+    for args in calls:
+        assert _p_i_ge_j(*args) == count_tails(*args)[-1], args
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +293,6 @@ def test_lca_reference_values():
 
 
 def test_lca_two_signatures_optimal_everywhere():
-    from ledasig.params import INSTANCES
     for prm in INSTANCES.values():
         assert lca_wf(prm).combinations == 2
 
@@ -273,24 +305,20 @@ def test_sia_reference_values():
 def test_sia_single_step_collapse():
     # w_L = w: one intersection step only
     est = sia_wf(A3, max_collected=3, max_w_l=A3.w)
-    from ledasig.estimator import _sia_wf_at
-    probs = sia_probabilities(A3, SiaInputs(2, A3.w, A3.z, A3))
-    single = _sia_wf_at(A3, 2, A3.w, probs.p_and_log2, probs.p_i_ge_j_log2)
+    _, p_i, _, p_j = _bit_probabilities(A3, A3.w, _codeword_row_parities(A3))
+    single = _sia_wf_at(A3, 2, A3.w, p_and_intersection(A3, 2, A3.w),
+                        _p_i_ge_j(A3.n, 2, A3.m_S * A3.w, p_i, p_j))
     assert single >= est.wf_log2
 
 
-def test_sia_precondition():
-    with pytest.raises(ValueError):
-        sia_probabilities(A3, SiaInputs(2, 1, 2, A3))
-
-
 def test_sia_telescoping_identity():
-    probs = sia_probabilities(A3, SiaInputs(4, 2, 2, A3))
-    ell = 4
-    wlw = A3.m_S * 2
-    tail = [log2_sum(probs.p_i_counts_log2[x:]) for x in range(ell + 2)]
+    ell, w_l = 4, 2
+    wlw = A3.m_S * w_l
+    _, p_i, _, p_j = _bit_probabilities(A3, w_l, _codeword_row_parities(A3))
+    pi_counts, _, pi_ge, _, _ = count_tails(A3.n, ell, wlw, p_i, p_j)
+    tail = [log2_sum(pi_counts[x:]) for x in range(ell + 2)]
     for x in range(ell + 1):
-        lhs = log2_sum(probs.p_i_ge_log2[x:ell + 1])
+        lhs = log2_sum(pi_ge[x:ell + 1])
         rhs = wlw * tail[x]
         if rhs == -math.inf:
             assert lhs == -math.inf
@@ -299,12 +327,13 @@ def test_sia_telescoping_identity():
 
 
 def test_sia_probabilities_in_unit_range():
-    probs = sia_probabilities(A3, SiaInputs(3, 2, 2, A3))
-    for val in (probs.p_i1, probs.p_i2_keep, probs.p_i2_flip, probs.p_i,
-                probs.p_j1, probs.p_j):
+    ell, w_l = 3, 2
+    rows = _codeword_row_parities(A3)
+    p_i1, p_i, p_j1, p_j = _bit_probabilities(A3, w_l, rows)
+    for val in (*rows, p_i1, p_i, p_j1, p_j):
         assert 0.0 <= val <= 1.0
-    assert probs.p_i_ge_j_log2 <= 0.0
-    assert probs.p_sia_log2 <= probs.p_and_log2
+    assert _p_i_ge_j(A3.n, ell, A3.m_S * w_l, p_i, p_j) <= 0.0
+    assert p_and_intersection(A3, ell, w_l) <= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,24 @@ import math
 
 import numpy as np
 
-from ledasig import toy_params
-from ledasig.estimator import SiaInputs, sia_probabilities
+from helpers import SIATOY as TOY
+from ledasig.estimator import (_bit_probabilities, _codeword_row_parities,
+                               _l_col, _p_i_ge_j)
 
-
-TOY = toy_params("siatoy", n0=12, r0=6, p=2, z=2, m_S=3, w=4, w_g=3, m_g=2)
+ELL, W_L = 2, 2     # collected signature pairs, intersected weight
 
 
 def test_sia_counting_attack_monte_carlo():
     """Frequency of min(I-counts) > max(J-counts) vs the closed form."""
-    inputs = SiaInputs(2, 2, 2, TOY)
-    probs = sia_probabilities(TOY, inputs)
-    ell = inputs.collected
-    wlw = inputs.w_l_wide
+    _, p_i, _, p_j = _bit_probabilities(TOY, W_L, _codeword_row_parities(TOY))
+    wlw = TOY.m_S * W_L
     n_j = TOY.n - wlw
-    p_ref = 2.0 ** probs.p_i_ge_j_log2
+    p_ref = 2.0 ** _p_i_ge_j(TOY.n, ELL, wlw, p_i, p_j)
 
     rng = np.random.default_rng(7)
     trials = 100_000
-    i_counts = rng.binomial(ell, probs.p_i, size=(trials, wlw))
-    j_counts = rng.binomial(ell, probs.p_j, size=(trials, n_j))
+    i_counts = rng.binomial(ELL, p_i, size=(trials, wlw))
+    j_counts = rng.binomial(ELL, p_j, size=(trials, n_j))
     wins = (i_counts.min(axis=1) > j_counts.max(axis=1)).mean()
     sigma = math.sqrt(p_ref * (1 - p_ref) / trials)
     assert abs(wins - p_ref) <= 3 * sigma
@@ -31,10 +29,9 @@ def test_sia_counting_attack_monte_carlo():
 
 def test_sia_survival_probability_monte_carlo():
     """Hypergeometric even-overlap survival vs its Monte-Carlo estimate."""
-    inputs = SiaInputs(2, 2, 2, TOY)
-    probs = sia_probabilities(TOY, inputs)
-    r, w, w_l = TOY.r, TOY.w, inputs.w_l
-    lcol = inputs.l_col
+    p_i1 = _bit_probabilities(TOY, W_L, _codeword_row_parities(TOY))[0]
+    r, w, w_l = TOY.r, TOY.w, W_L
+    lcol = _l_col(TOY)
 
     rng = np.random.default_rng(11)
     trials = 100_000
@@ -44,14 +41,13 @@ def test_sia_survival_probability_monte_carlo():
         (rng.choice(pool, size=w - w_l, replace=False) < marked).sum()
         for _ in range(trials)])
     freq = (hits % 2 == 0).mean()
-    sigma = math.sqrt(probs.p_i1 * (1 - probs.p_i1) / trials)
-    assert abs(freq - probs.p_i1) <= 3 * sigma
+    sigma = math.sqrt(p_i1 * (1 - p_i1) / trials)
+    assert abs(freq - p_i1) <= 3 * sigma
 
 
 def test_sia_codeword_interplay_monte_carlo():
     """Even selections among the codeword rows vs the closed form."""
-    inputs = SiaInputs(2, 2, 2, TOY)
-    probs = sia_probabilities(TOY, inputs)
+    p_i2_keep = _codeword_row_parities(TOY)[0]
     n, m_s, w_c = TOY.n, TOY.m_S, TOY.w_c
 
     rng = np.random.default_rng(13)
@@ -60,5 +56,5 @@ def test_sia_codeword_interplay_monte_carlo():
         (rng.choice(n - 1, size=w_c, replace=False) < m_s - 1).sum()
         for _ in range(trials)])
     freq = (hits % 2 == 0).mean()
-    sigma = math.sqrt(probs.p_i2_keep * (1 - probs.p_i2_keep) / trials)
-    assert abs(freq - probs.p_i2_keep) <= 3 * sigma
+    sigma = math.sqrt(p_i2_keep * (1 - p_i2_keep) / trials)
+    assert abs(freq - p_i2_keep) <= 3 * sigma
