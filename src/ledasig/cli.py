@@ -91,19 +91,23 @@ def cmd_verify(args) -> int:
     return EXIT_REJECT
 
 
+_SPEC_REQUIRED = {"n0", "r0", "p", "z", "m_S", "w", "w_g", "m_g"}
+
+
 def _params_from_spec(spec: str) -> SysParams:
-    fields = {}
+    fields = {"category": 1}
     for item in spec.split(","):
         key, _, value = item.partition("=")
         if not value:
             raise _UsageError(f"--params items must be key=value, got {item!r}")
         fields[key.strip()] = int(value)
-    required = {"n0", "r0", "p", "z", "m_S", "w", "w_g", "m_g"}
-    missing = required - fields.keys()
+    unknown = fields.keys() - _SPEC_REQUIRED - {"category"}
+    if unknown:
+        raise _UsageError(f"--params unknown {sorted(unknown)}")
+    missing = _SPEC_REQUIRED - fields.keys()
     if missing:
         raise _UsageError(f"--params missing {sorted(missing)}")
-    return SysParams(name="custom", category=fields.pop("category", 1),
-                     m_T=fields.pop("m_T", 1), strict=False, **fields)
+    return SysParams(name="custom", strict=False, **fields)
 
 
 def cmd_estimate(args) -> int:

@@ -261,12 +261,18 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
 
 
 def write_file(path: str, data: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partials."""
+    """Write via a temp file and rename, so readers never see partials.
+
+    The temp file is flushed and fsynced before the rename, so a crash
+    leaves the old file or the whole new one, not an empty one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ledasig-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -319,14 +319,18 @@ class LcaEstimate:
     combinations: int        # minimizing L
 
 
-def lca_wf(params: SysParams, max_combinations: int = 8) -> LcaEstimate:
+# largest number L of signatures an LCA forgery combines
+_LCA_MAX_COMBINATIONS = 8
+
+
+def lca_wf(params: SysParams) -> LcaEstimate:
     w, r, k, m_g = params.w, params.r, params.k, params.m_g
     w_sigma = (params.w + params.w_c) * params.m_S
     best, best_l = math.inf, 2
     # XOR distributions of ell syndromes and of ell information words,
     # extended by one vector per ell
     syndrome, info = xor_weight_dist(r, [w]), xor_weight_dist(k, [m_g])
-    for ell in range(2, max_combinations + 1):
+    for ell in range(2, _LCA_MAX_COMBINATIONS + 1):
         syndrome = _xor_step(r, syndrome, w)
         info = _xor_step(k, info, m_g)
         p_syndrome = float(syndrome[w])
@@ -447,16 +451,15 @@ class SiaEstimate:
     w_l: int
 
 
-def sia_wf(params: SysParams, d_b: int | None = None,
-           max_collected: int = 16, max_w_l: int | None = None) -> SiaEstimate:
+def sia_wf(params: SysParams, max_collected: int = 16,
+           max_w_l: int | None = None) -> SiaEstimate:
     """Total support-intersection work factor, minimized over (L, w_L).
 
     For w_L not dividing w, the cheaper of the two last-step strategies
     is taken: an unconstrained-position final step, or a final step that
     re-finds previously located positions.
     """
-    if d_b is None:
-        d_b = params.z
+    d_b = params.z
     w = params.w
     if max_w_l is None:
         max_w_l = w

@@ -28,8 +28,7 @@ order below is fixed and replaying a seed reproduces the key bit for bit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +39,8 @@ from .packed import PackedQc
 from .params import SysParams
 from .qc import (GenPermutation, PackedVector, dense_invert,
                  genperm_from_left, genperm_from_right, inverse_int,
-                 invert_perm, pack_blocks, padding_clear, transpose_int)
+                 invert_perm, odd_bits, pack_blocks, padding_clear,
+                 transpose_int)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ class PublicKey:
 
     params: SysParams
     words: np.ndarray          # (r0, n0, ceil(p/64)) '<u8'
-    _packed: PackedQc | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         prm = self.params
@@ -126,11 +125,9 @@ class PublicKey:
             raise DimensionError("bit set at or above p in a block")
         self.words.flags.writeable = False
 
-    @property
+    @cached_property
     def packed(self) -> PackedQc:
-        if self._packed is None:
-            self._packed = PackedQc(self.words, self.params.p)
-        return self._packed
+        return PackedQc(self.words, self.params.p)
 
     def __eq__(self, other):
         return (isinstance(other, PublicKey) and self.params == other.params
@@ -222,34 +219,21 @@ def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
 
     C(e_poly) is the n0 x n0 circulant of e_poly: output block b - d
     collects input block b for every d in the support of e_poly.  Positions
-    keep their order and repeats until one parity at the end.  While m log2 m
-    stays below n, sorting the m positions costs less than an n-sized count:
-    each pass over the sorted positions gives every one still present the
-    pass's parity and drops one copy of each, so a position ends set iff it
-    occurs an odd number of times.  Larger m (signatures, the dense a3 rows)
-    are counted.
+    keep their order and repeats until one parity at the end, so a position
+    repeated in pos cancels.
     """
     prm = sk.params
     p, n0 = prm.p, prm.n0
     blk, o = np.divmod(sk.pi_phi.apply(pos), p)
     mixed = ((blk[:, None] - _support(e_poly, n0)) % n0) * p + o[:, None]
-    out = sk.pi_lambda.apply(mixed.ravel())
-    if out.size * math.log2(out.size + 1) >= prm.n:
-        counts = np.bincount(out, minlength=prm.n)
-        counts &= 1
-        return counts.astype(bool)
-    out.sort()
-    bits = np.zeros(prm.n, dtype=bool)
-    odd = True
-    while out.size:
-        bits[out] = odd
-        out = out[np.flatnonzero(out[1:] == out[:-1]) + 1]
-        odd = not odd
-    return bits
+    return odd_bits(sk.pi_lambda.apply(mixed.ravel()), prm.n)
 
 
 def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
-    """S . x^T (column action) for x given by support, in the wire layout."""
+    """S . x^T (column action) in the wire layout.
+
+    x is the sum of the unit vectors at pos, so a repeated position cancels.
+    """
     prm = sk.params
     bits = _scramble(sk, sk.s.e_poly, pos)
     return PackedVector.from_bits(bits.reshape(prm.n0, prm.p))

@@ -1,14 +1,14 @@
 """Word-packed syndrome computation for dense quasi-cyclic matrices.
 
-The matrix is held as its wire rows: by_row[i, j] is the polynomial
-h_ij of the first row of circulant (i, j), in ceil(p/64) little-endian
+The matrix arrives as its wire rows: blocks[i, j] is the polynomial h_ij
+of the first row of circulant (i, j), in ceil(p/64) little-endian
 words.  That circulant acts on a column block v as T(h_ij) * v, where T
 sends coefficient c to (-c) mod p.  T is the ring automorphism
 x -> x^-1, so
 
     sum_j T(h_ij) * v_j = T(sum_j h_ij * T(v_j)),
 
-and the product needs no transposed copy of the key:
+and the product needs no transposed circulants:
 
 - a set bit of sigma at offset t inside block j enters as x^((-t) mod p);
 - each such bit adds key column j times x^t into an unreduced 2p-bit
@@ -16,21 +16,19 @@ and the product needs no transposed copy of the key:
 - at the end the r0 accumulator rows are folded mod x^p + 1 and mapped
   through T.
 
-Cost model.  The work is weight(sigma) * r0 * ceil(p/64) word XORs on
-every path, so what separates the paths is memory traffic and the number
+Cost model.  The work is weight(sigma) * r0 * ceil(p/64) word XORs, so
+what separates the two regimes below is memory traffic and the number
 of Python-level numpy calls.  A key row (one block column, all r0 block
 rows) is r0 * ceil(p/64) * 8 bytes: 1.4 KB for a3, 54 KB for gamma3.
 
-A numba kernel parallelized over block rows is used when available; it
-reads by_row and the same offsets, grouped per offset, into a row-major
-accumulator.  The numpy path reads by_col and is a residue comb (Lopez
-and Dahab's comb for binary polynomials, as Chou's QcBits applies it to
-syndromes).  An offset t = 64q + s is a shift by q whole words and then
-by s bits.  The bits of sigma are sorted by residue s first, and for
-each of the up to 64 residues a comb accumulator takes the key columns
-at word offset q only; it is then shifted by s bits once and folded
-into the result.  So the bit shifts cost two numpy calls per residue,
-at most 128 per product, whatever the weight.
+The product is a residue comb (Lopez and Dahab's comb for binary
+polynomials, as Chou's QcBits applies it to syndromes).  An offset
+t = 64q + s is a shift by q whole words and then by s bits.  The bits of
+sigma are sorted by residue s first, and for each of the up to 64
+residues a comb accumulator takes the key columns at word offset q
+only; it is then shifted by s bits once and folded into the result.  So
+the bit shifts cost two numpy calls per residue, at most 128 per
+product, whatever the weight.
 
 by_col is the key in word-major form: row j is block column j as
 (ceil(p/64), r0), word index first and block row second.  The comb
@@ -55,102 +53,28 @@ regimes, which fill the identical accumulator:
 The rule between them is the key row size against _WIDE_ROW_BYTES
 (16 KiB).  A narrow row is cheap to gather, and in place it would pay
 the per-call overhead on very little data; a wide row spends the
-gather's time copying.  Measured on a real key and signature of every
-instance (2-vCPU Xeon, numpy 2.4, no numba), medians of 8 interleaved
-products, the previous kernel (grouped below 768 KiB offset groups,
-256 KiB tiles above) against the comb in the regime the rule picks, with
-the other regime's ratio for comparison:
-
-  instance  row KiB  previous  comb      ratio  regime    other
-  a3          1.4      4.9 ms    3.2 ms  0.67   gathered  1.53
-  a6          3.9     12.5 ms    7.5 ms  0.60   gathered  0.76
-  b3          4.7     17.6 ms   13.4 ms  0.76   gathered  1.43
-  alpha3      5.6     24.9 ms   17.4 ms  0.70   gathered  1.07
-  c3         10.5     70.0 ms   60.9 ms  0.87   gathered  0.82
-  b6         17.7     97.0 ms   64.4 ms  0.66   in place  0.79
-  beta3      20.9      204 ms    141 ms  0.69   in place  0.86
-  gamma3     53.2     1688 ms    832 ms  0.49   in place  1.69
-  c6         55.3      707 ms    399 ms  0.56   in place  1.64
-
-c3 sits near the crossover: in an earlier session its in-place ratio was
-0.93 against 0.78 gathered.
-
-Of gamma3's in-place product (0.73 to 0.85 s in-process), the same
-~219k XOR calls take 0.6 s when one key row and one window stay in
-cache, and 0.25 s when the rows are one word long, which is the call
-overhead.  So cache misses cost 0.1 to 0.25 s; the rest is XOR work at
-cache speed and per-call overhead (docs/decisions.md).
+gather's time copying.  On a 2-vCPU Xeon with numpy 2.4 the rule picks
+the faster regime for every instance but c3, which sits at the
+crossover (faster gathered in one session, in place in another);
+docs/decisions.md has the per-instance timings and where
+gamma3's 0.8 s product goes (XOR work at cache speed, about 0.25 s of
+numpy call overhead, and 0.1 to 0.25 s of cache misses).
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-try:
-    # the TBB-version probe warns on some hosts; the omp/workqueue
-    # fallback layers are fine for this workload
-    warnings.filterwarnings(
-        "ignore", message=".*TBB.*", module="numba.np.ufunc.parallel")
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
+# read by the benchmark harness, which records the backend; numpy is the one
+_HAVE_NUMBA = False
 
 # incremented once per syndrome product; lets tests observe that the
 # verifier's weight gate short-circuits before any matrix work
 COUNTERS = {"syndrome_products": 0}
 
-# a numpy product over key rows wider than this XORs them in place
-# instead of gathering them (see module docstring)
+# a product over key rows wider than this XORs them in place instead of
+# gathering them (see module docstring)
 _WIDE_ROW_BYTES = 16 << 10
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(parallel=True, cache=True)
-    def _accumulate_numba(ht, blk_sorted, offsets, starts, acc):
-        # pragma: no cover - jitted
-        r0, _, nw = ht.shape
-        ngroups = offsets.shape[0]
-        for i in numba.prange(r0):
-            u = np.zeros(nw, dtype=np.uint64)
-            for g in range(ngroups):
-                for wd in range(nw):
-                    u[wd] = np.uint64(0)
-                for idx in range(starts[g], starts[g + 1]):
-                    j = blk_sorted[idx]
-                    for wd in range(nw):
-                        u[wd] ^= ht[i, j, wd]
-                t = offsets[g]
-                q = t // 64
-                s = np.uint64(t % 64)
-                if s == np.uint64(0):
-                    for wd in range(nw):
-                        acc[i, q + wd] ^= u[wd]
-                else:
-                    sr = np.uint64(64) - s
-                    for wd in range(nw):
-                        v = u[wd]
-                        acc[i, q + wd] ^= v << s
-                        acc[i, q + wd + 1] ^= v >> sr
-
-
-def _offset_groups(blk, off, n0, nw):
-    """Support grouped by offset, offsets in (residue, word) order.
-
-    Returns the column blocks sorted by (off % 64, off // 64, block), the
-    distinct offsets and the start of each offset's run.
-    """
-    key = np.sort(((off & 63) * nw + (off >> 6)) * n0 + blk)
-    res_word, blk_sorted = np.divmod(key, n0)
-    cuts = np.flatnonzero(np.diff(res_word)) + 1
-    starts = np.concatenate(([0], cuts, [len(key)]))
-    res, word = np.divmod(res_word[starts[:-1]], nw)
-    return blk_sorted, 64 * word + res, starts
 
 
 def _fold_residue(acc, comb, s):
@@ -167,11 +91,17 @@ def _fold_residue(acc, comb, s):
 def _accumulate_gathered(by_col, blk, off, acc):
     """One gather-reduce per offset into its residue's window (narrow rows)."""
     n0, nw, r0 = by_col.shape
-    blk_sorted, offsets, starts = _offset_groups(blk, off, n0, nw)
+    # column blocks sorted by (off % 64, off // 64, block), then the start
+    # of each distinct offset's run
+    key = np.sort(((off & 63) * nw + (off >> 6)) * n0 + blk)
+    res_word, blk_sorted = np.divmod(key, n0)
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(res_word)) + 1, [len(key)]))
+    res, word = np.divmod(res_word[starts[:-1]], nw)
     comb = np.zeros((2 * nw - 1, r0), dtype=np.uint64)
-    residues = (offsets & 63).tolist() + [-1]
-    for g, t in enumerate(offsets.tolist()):
-        comb[t >> 6:(t >> 6) + nw] ^= np.bitwise_xor.reduce(
+    residues = res.tolist() + [-1]
+    for g, q in enumerate(word.tolist()):
+        comb[q:q + nw] ^= np.bitwise_xor.reduce(
             by_col[blk_sorted[starts[g]:starts[g + 1]]], axis=0)
         if residues[g + 1] != residues[g]:
             _fold_residue(acc, comb, residues[g])
@@ -198,22 +128,21 @@ def _accumulate_in_place(by_col, blk, off, acc):
 
 
 class PackedQc:
-    """Wire rows of a QC matrix and their word-major copy.
+    """A QC matrix's wire rows in the word-major form the product reads.
 
     blocks is a (rows_blocks, cols_blocks, words) array of wire-layout
-    blocks whose bits at and above p are clear.  by_row is that array
-    itself, not a copy; row j of by_col is block column j as a
-    (words, rows_blocks) array, word index first.
+    blocks whose bits at and above p are clear.  Row j of by_col is block
+    column j as a (words, rows_blocks) array, word index first.
     """
 
-    def __init__(self, blocks: np.ndarray, p: int,
-                 use_numba: bool | None = None):
-        if use_numba and not _HAVE_NUMBA:
-            raise ValueError("use_numba=True but numba is not installed")
+    # read by the benchmark harness, which records the backend
+    use_numba = False
+
+    def __init__(self, blocks: np.ndarray, p: int):
         r0, n0, nw = blocks.shape
         self.rows_blocks, self.cols_blocks, self.words = r0, n0, nw
         self.p = p
-        self.use_numba = _HAVE_NUMBA if use_numba is None else use_numba
+        # blocks itself, not a copy; the benchmark harness sizes the key by it
         self.by_row = blocks
         self.by_col = np.ascontiguousarray(blocks.transpose(1, 2, 0))
         self.by_col.flags.writeable = False
@@ -225,22 +154,16 @@ class PackedQc:
         pos = np.asarray(support, dtype=np.int64)
         # bit t of a block enters as x^((-t) mod p) (module docstring)
         blk, off = pos // p, -pos % p
-        if self.use_numba:
-            acc = np.zeros((r0, 2 * nw + 1), dtype=np.uint64)
-            if len(pos):
-                _accumulate_numba(self.by_row, *_offset_groups(
-                    blk, off, self.cols_blocks, nw), acc)
-        else:
-            # word-major, then transposed to the numba kernel's rows
-            acc = np.zeros((2 * nw + 1, r0), dtype=np.uint64)
-            if len(pos):
-                wide = self.by_col[0].nbytes > _WIDE_ROW_BYTES
-                accumulate = (_accumulate_in_place if wide
-                              else _accumulate_gathered)
-                accumulate(self.by_col, blk, off, acc)
-            acc = np.ascontiguousarray(acc.T)
-        # fold each row mod x^p + 1, then send coefficient c to (-c) mod p
-        bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
+        acc = np.zeros((2 * nw + 1, r0), dtype=np.uint64)
+        if len(pos):
+            wide = self.by_col[0].nbytes > _WIDE_ROW_BYTES
+            accumulate = (_accumulate_in_place if wide
+                          else _accumulate_gathered)
+            accumulate(self.by_col, blk, off, acc)
+        # fold each block row mod x^p + 1, then send coefficient c to
+        # (-c) mod p
+        bits = np.unpackbits(np.ascontiguousarray(acc.T).view(np.uint8),
+                             axis=1, bitorder="little")
         folded = bits[:, :p] ^ bits[:, p:2 * p]
         out = np.roll(folded[:, ::-1], 1, axis=1)
         return int.from_bytes(

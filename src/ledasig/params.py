@@ -1,9 +1,11 @@
 """System parameters for the nine proposed instances.
 
 Each instance fixes a quasi-cyclic LDGM code (circulant size p, grid
-n0 x r0), the sparse transformation weights (m_S, m_T), the syndrome
-weight w, the generator row weight w_g = 2w + 1 and the codeword
-multiplier m_g.  Derived quantities: n = n0*p, r = r0*p, k = (n0-r0)*p.
+n0 x r0), the row weight m_S of the scrambler S, the syndrome weight w,
+the generator row weight w_g = 2w + 1 and the codeword multiplier m_g.
+The sparse part of Q is a generalized permutation, so the paper's m_T is
+1 for every instance and is not a field.  Derived quantities:
+n = n0*p, r = r0*p, k = (n0-r0)*p.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class SysParams:
     r0: int
     p: int
     z: int
-    m_T: int
     m_S: int
     w: int
     w_g: int
@@ -61,6 +62,8 @@ class SysParams:
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self):
+        if self.category not in (1, 3, 5):
+            raise ValueError("category must be 1, 3 or 5")
         if self.n0 <= self.r0:
             raise ValueError("n0 must exceed r0")
         if self.strict:
@@ -68,16 +71,12 @@ class SysParams:
                 raise ValueError("p and r0 must be prime")
             if not _is_prime(self.n0) or _order_of_two(self.n0) != self.n0 - 1:
                 raise ValueError("n0 must be prime with 2 a primitive root")
-            if self.m_S % 2 == 0:
-                raise ValueError("m_S must be odd")
             if self.w_g != 2 * self.w + 1:
                 raise ValueError("w_g must equal 2*w + 1")
             if self.p * (2 * self.w + 1) >= self.r:
                 raise ValueError("p must be below r/(2w+1)")
             if not (0 < self.z < self.r0):
                 raise ValueError("z must be in (0, r0)")
-            if self.m_T != 1:
-                raise ValueError("only m_T = 1 is supported")
         if self.w_g - 1 > self.r0:
             raise ValueError("w_g - 1 block columns must fit in r0")
         if self.m_S % 2 == 0:
@@ -124,7 +123,7 @@ class SysParams:
 
 def _inst(name, cat, n0, r0, p, z, m_S, w, w_g, m_g):
     return SysParams(name=name, category=cat, n0=n0, r0=r0, p=p, z=z,
-                     m_T=1, m_S=m_S, w=w, w_g=w_g, m_g=m_g)
+                     m_S=m_S, w=w, w_g=w_g, m_g=m_g)
 
 
 INSTANCES: dict[str, SysParams] = {
@@ -168,4 +167,4 @@ def toy_params(name="toy13", **overrides) -> SysParams:
     }
     kw = presets[name] if name in presets else {}
     kw.update(overrides)
-    return SysParams(name=name, category=1, m_T=1, strict=False, **kw)
+    return SysParams(name=name, category=1, strict=False, **kw)

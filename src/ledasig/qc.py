@@ -16,12 +16,41 @@ index map; the scrambler S and the permutation part M of Q both use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, NotInvertible, Singular
+
+# ---------------------------------------------------------------------------
+# GF(2) sums of unit vectors
+
+
+def odd_bits(pos: np.ndarray, n: int) -> np.ndarray:
+    """Length-n bool array set where a position occurs an odd number of times.
+
+    This is the GF(2) sum of the unit vectors at pos.  While m log2 m stays
+    below n, sorting the m positions costs less than an n-sized count: each
+    pass over the sorted positions gives every one still present the pass's
+    parity and drops one copy of each, so a position ends set iff it occurs
+    an odd number of times.  Larger m (signatures, the dense a3 rows) are
+    counted.
+    """
+    if pos.size * math.log2(pos.size + 1) >= n:
+        counts = np.bincount(pos, minlength=n)
+        counts &= 1
+        return counts.astype(bool)
+    pos = np.sort(pos)
+    bits = np.zeros(n, dtype=bool)
+    odd = True
+    while pos.size:
+        bits[pos] = odd
+        pos = pos[np.flatnonzero(pos[1:] == pos[:-1]) + 1]
+        odd = not odd
+    return bits
+
 
 # ---------------------------------------------------------------------------
 # raw polynomial kernels (ints, little-endian coefficient packing)

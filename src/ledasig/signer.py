@@ -25,7 +25,7 @@ from .drbg import Xof, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
-from .qc import PackedVector, SparseVector
+from .qc import PackedVector, SparseVector, odd_bits
 
 THETA_MAX = (1 << 64) - 1
 _THETA_ITER_CAP = 1 << 32
@@ -112,8 +112,7 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
         u = np.array(xof.distinct(k, prm.m_g), dtype=np.int64)
         b, o = np.divmod(u, p)
         hits = cols[b] * p + (rots[b] + o[:, None]) % p
-        counts = np.bincount(hits.ravel(), minlength=r)
-        right = np.flatnonzero(counts & 1)
+        right = np.flatnonzero(odd_bits(hits.ravel(), r))
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
             return np.concatenate((np.sort(u), right + k))
@@ -139,4 +138,5 @@ def sign(sk: PrivateKey, message: bytes, rng: Xof | None = None) -> Signature:
     xof = rng if rng is not None else fresh_xof()
     c_sup = gen_codeword(sk, xof)
     theta_star, e_sup, _ = gen_error(sk, message, xof)
-    return Signature(apply_s(sk, np.setxor1d(c_sup, e_sup)), theta_star)
+    # apply_s takes the parity of repeated positions, so c + e needs no xor
+    return Signature(apply_s(sk, np.concatenate((c_sup, e_sup))), theta_star)

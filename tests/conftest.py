@@ -1,10 +1,6 @@
-import warnings
-
 import pytest
 
 from ledasig import get_instance, keypair_from_seed, toy_params
-
-warnings.filterwarnings("ignore", module="numba")
 
 
 @pytest.fixture(scope="session")

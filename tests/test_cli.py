@@ -109,5 +109,15 @@ def test_estimate_custom_params_echo(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("extra", ["foo=1", "m_T=4", "category=2"])
+def test_estimate_bad_custom_params_are_usage_errors(capsys, extra):
+    # an unknown key or a category outside {1, 3, 5} is a bad argument
+    rc = main(["estimate", "--params",
+               "n0=29,r0=13,p=13,z=2,m_S=3,w=3,w_g=7,m_g=2," + extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_estimate_requires_target():
     assert main(["estimate"]) == 2

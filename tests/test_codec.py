@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ledasig import (decode_private_key_expanded, decode_public_key,
                      encode_signature, expand_private_key,
                      private_key_at_rest_bytes, public_key_bytes,
                      signature_bytes, verify)
-from ledasig.codec import expand_private_key_only
+from ledasig.codec import expand_private_key_only, write_file
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError, FormatError, IntegrityError
 from ledasig.keygen import private_key_from_seed
@@ -207,6 +208,33 @@ def test_at_rest_corruption_detected(a3_key):
     blob[-1] ^= 0x01
     with pytest.raises(IntegrityError):
         expand_private_key(bytes(blob))
+
+
+def test_write_file_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
+    # a crash after the rename must not leave an empty or partial key file
+    target = tmp_path / "key.sk"
+    target.write_bytes(b"old")
+    data = b"new key bytes"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_file(str(target), data)
+    ino = target.stat().st_ino
+    assert events == [("fsync", ino, len(data)),
+                      ("replace", ino, str(target))]
+    assert target.read_bytes() == data
+    assert os.listdir(tmp_path) == ["key.sk"]
 
 
 def test_expanded_roundtrip(a3_key):

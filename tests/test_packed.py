@@ -5,7 +5,7 @@ import pytest
 
 from helpers import QcMatrix, dense_vec_mul, qc_to_words, qc_vec_mul
 from ledasig import packed
-from ledasig.packed import _HAVE_NUMBA, PackedQc
+from ledasig.packed import PackedQc
 from ledasig.qc import SparseVector
 
 
@@ -14,8 +14,8 @@ def rnd_qc(rng, rb, cb, p):
         [[rng.getrandbits(p) for _ in range(cb)] for _ in range(rb)], p)
 
 
-def packed_qc(mat, use_numba=None):
-    return PackedQc(qc_to_words(mat), mat.p, use_numba)
+def packed_qc(mat):
+    return PackedQc(qc_to_words(mat), mat.p)
 
 
 @pytest.mark.parametrize("p", [5, 13, 64, 65, 127, 130])
@@ -23,25 +23,13 @@ def test_packed_matches_dense_and_qc(p):
     rng = random.Random(p)
     mat = rnd_qc(rng, 3, 4, p)
     dense = mat.to_dense_rows()
-    packed_np = packed_qc(mat, use_numba=False)
+    pq = packed_qc(mat)
     for trial in range(8):
         sup = tuple(sorted(rng.sample(range(4 * p), rng.randint(0, 4 * p))))
         v = SparseVector(4 * p, sup)
         expected = dense_vec_mul(dense, v.to_int())
-        assert packed_np.mul_support(sup) == expected
+        assert pq.mul_support(sup) == expected
         assert qc_vec_mul(mat, v).to_int() == expected
-
-
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("p", [5, 127, 263])
-def test_numba_and_numpy_paths_agree(p):
-    rng = random.Random(p + 7)
-    mat = rnd_qc(rng, 4, 5, p)
-    fast = packed_qc(mat, use_numba=True)
-    slow = packed_qc(mat, use_numba=False)
-    for _ in range(6):
-        sup = tuple(sorted(rng.sample(range(5 * p), rng.randint(1, 5 * p))))
-        assert fast.mul_support(sup) == slow.mul_support(sup)
 
 
 def test_empty_support_gives_zero():
@@ -87,7 +75,7 @@ def test_numpy_regimes_match_dense(monkeypatch, p, regime, cap):
     rng = random.Random(1000 + p)
     mat = rnd_qc(rng, 3, 4, p)
     dense = mat.to_dense_rows()
-    pq = packed_qc(mat, use_numba=False)
+    pq = packed_qc(mat)
     _only_regime(monkeypatch, regime)
     edges = _comb_edges(p)
     top = 4 * p if cap is None else min(cap, 4 * p)
@@ -111,7 +99,7 @@ def test_numpy_regimes_agree_full_shape(monkeypatch):
     # gamma3's shape (r0 = 139, n0 = 293, p = 3121) at sigma's density
     rng = random.Random(3121)
     mat = rnd_qc(rng, 139, 293, 3121)
-    pq = packed_qc(mat, use_numba=False)
+    pq = packed_qc(mat)
     n = 293 * 3121
     sup = np.flatnonzero(
         np.random.default_rng(3121).random(n) < 0.24).tolist()
@@ -127,7 +115,7 @@ def test_by_row_holds_transposed_blocks(p):
     # by_row is the wire array itself; by_col[j] is block column j word-major
     rng = random.Random(p)
     words = qc_to_words(rnd_qc(rng, 2, 3, p))
-    pq = PackedQc(words, p, use_numba=False)
+    pq = PackedQc(words, p)
     assert np.shares_memory(pq.by_row, words)
     nw = (p + 63) // 64
     assert pq.by_col.shape == (3, nw, 2) and pq.by_col.flags.c_contiguous
@@ -135,9 +123,3 @@ def test_by_row_holds_transposed_blocks(p):
         for j in range(3):
             assert np.array_equal(pq.by_col[j][:, i], words[i, j])
 
-
-@pytest.mark.skipif(_HAVE_NUMBA, reason="numba installed")
-def test_numba_backend_without_numba_fails_fast():
-    mat = rnd_qc(random.Random(0), 2, 2, 11)
-    with pytest.raises(ValueError, match="numba"):
-        packed_qc(mat, use_numba=True)

@@ -2,10 +2,14 @@
 
 perfbench/run.py and perfbench/tracer.py read library attributes by name
 (PackedQc.by_row, by_col, rows_blocks, words, use_numba, packed.COUNTERS
-and _HAVE_NUMBA among them); one short traced a3 run catches a library
-change that breaks them.  The estimate-all workload also clears
-estimator._iterated_and_dist's cache before each round and the tracer wraps
-five estimator functions by name; one traced round of it covers those.
+and _HAVE_NUMBA among them); one short traced run of each workload but
+gamma3-warm catches a library change that breaks them.  a3-warm covers
+the warm sign and verify loop.  b6-cold is the only workload that decodes
+a public key and reads its packed key's use_numba, and that expands an
+at-rest private key (codec.expand_private_key_only) and encodes a public
+key through the tracer's codec wrappers.  The estimate-all workload
+clears estimator._iterated_and_dist's cache before each round and the
+tracer wraps five estimator functions by name.
 """
 
 import json
@@ -24,8 +28,8 @@ bench.run()
 layers = bench.per_layer()
 print(json.dumps({"attempted": bench.attempted, "failed": bench.failed,
                   "failures": bench.failures,
-                  "key_mb": layers["packed.key_mb"][0],
-                  "lca_s": layers["estimator.lca_s"][0]}))
+                  "environment": bench.environment(),
+                  "layers": {k: v[0] for k, v in layers.items()}}))
 """
 
 
@@ -41,11 +45,21 @@ def test_traced_a3_run():
     out = _traced_run("a3-warm")
     assert out["attempted"] > 0
     assert out["failed"] == 0, out["failures"]
-    assert out["key_mb"] > 0
+    assert out["layers"]["packed.key_mb"] > 0
+
+
+def test_traced_b6_cold_run():
+    out = _traced_run("b6-cold")
+    assert out["attempted"] > 0
+    assert out["failed"] == 0, out["failures"]
+    assert out["environment"]["packed_use_numba"] is False
+    for name in ("codec.pk_encode_ms", "codec.pk_decode_ms",
+                 "codec.sk_expand_ms", "packed.key_mb"):
+        assert out["layers"][name] > 0, name
 
 
 def test_traced_estimate_run():
     out = _traced_run("estimate-all")
     assert out["attempted"] > 0
     assert out["failed"] == 0, out["failures"]
-    assert out["lca_s"] > 0
+    assert out["layers"]["estimator.lca_s"] > 0

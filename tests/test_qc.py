@@ -10,7 +10,7 @@ from helpers import (BitPoly, QcMatrix, dense_eye, dense_mul,
 from ledasig.errors import DimensionError, NotInvertible, Singular
 from ledasig.qc import (GenPermutation, SparseVector, dense_invert,
                         genperm_from_left, genperm_from_right, inverse_int,
-                        transpose_int)
+                        odd_bits, transpose_int)
 
 
 def rnd_poly(rng, p):
@@ -286,3 +286,21 @@ def test_genperm_factor_constructors_match_dense(seed):
     assert genperm_dense(left) == dense_mul(diag, pk, n)
     right = genperm_from_right(perm, rots, p)
     assert genperm_dense(right) == dense_mul(pk, diag, n)
+
+
+# ---------------------------------------------------------------------------
+# GF(2) sums of unit vectors
+
+
+# m positions drawn from the first 1 + m // 4 of n, so most repeat; the
+# first four sort (m log2 m < n), the last two count
+@pytest.mark.parametrize("m, n", [(0, 50), (1, 50), (12, 1000),
+                                  (200, 10**5), (40, 50), (3000, 50)])
+def test_odd_bits_is_count_parity(m, n):
+    rng = np.random.default_rng(m)
+    pos = rng.integers(0, min(n, 1 + m // 4), size=m)
+    before = pos.copy()
+    bits = odd_bits(pos, n)
+    assert bits.dtype == bool and bits.shape == (n,)
+    assert np.array_equal(bits, np.bincount(pos, minlength=n) % 2 == 1)
+    assert np.array_equal(pos, before)
