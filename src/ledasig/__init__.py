@@ -3,10 +3,11 @@
 Library layout:
   params     parameter records for the nine proposed instances
   qc         bit-packed GF(2) polynomials, GF(2) inversion of small 0/1
-             arrays, the generalized-permutation index map, and the
-             wire-layout vector that holds a signature's sigma
-  keygen     seed-deterministic key generation, the scrambler chain
-             shared by signing and the public key
+             arrays, the index map of a sparse quasi-cyclic operator held
+             as a (blocks, rots) table, and the wire-layout vector that
+             holds a signature's sigma
+  keygen     seed-deterministic key generation; V, M and the scrambler S
+             as (blocks, rots) tables
   packed     word-packed syndrome product for verification
   drbg       SHAKE-256 stream with the samplers used by key generation
   signer     constant-weight encoding and signature generation

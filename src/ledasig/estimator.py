@@ -78,7 +78,10 @@ def log2_sum(values) -> float:
     if not vals:
         return NEG_INF
     m = max(vals)
-    return m + math.log2(sum(2.0 ** (v - m) for v in vals))
+    # numpy terms would make the result np.float64.  Convert the result,
+    # not the terms: Python >= 3.12 sums exact floats with compensation,
+    # which would move the last bits.
+    return float(m + math.log2(sum(2.0 ** (v - m) for v in vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +454,24 @@ class SiaEstimate:
     w_l: int
 
 
-def sia_wf(params: SysParams, max_collected: int = 16,
-           max_w_l: int | None = None) -> SiaEstimate:
-    """Total support-intersection work factor, minimized over (L, w_L).
+# largest number L of signatures an SIA forgery intersects
+_SIA_MAX_COLLECTED = 16
+
+
+def sia_wf(params: SysParams) -> SiaEstimate:
+    """Total support-intersection work factor, minimized over (L, w_L),
+    with z <= w_L <= w.
 
     For w_L not dividing w, the cheaper of the two last-step strategies
     is taken: an unconstrained-position final step, or a final step that
     re-finds previously located positions.
     """
     d_b = params.z
-    w = params.w
-    if max_w_l is None:
-        max_w_l = w
     rows = _codeword_row_parities(params)
     bits = {w_l: _bit_probabilities(params, w_l, rows)
-            for w_l in range(d_b, max_w_l + 1)}
+            for w_l in range(d_b, params.w + 1)}
     best = (math.inf, 2, d_b)
-    for ell in range(2, max_collected + 1):
+    for ell in range(2, _SIA_MAX_COLLECTED + 1):
         for w_l, (_, p_i, _, p_j) in bits.items():
             p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_l, p_i, p_j)
             wf = _sia_wf_at(params, ell, w_l,
@@ -682,14 +686,18 @@ def stat_lifetime(params: SysParams, security_exponent: float
     return plain, qc
 
 
-def _scan_max_count(f_log2, lam: float, start: int = 1024) -> int:
+# first upper probe of the lifetime scan's doubling bracket
+_SCAN_START = 1024
+
+
+def _scan_max_count(f_log2, lam: float) -> int:
     """Largest N with f(N) < -lam, by doubling bracket then bisection.
 
     The bisection needs f to grow with N, so a doubling probe that falls
     more than 1e-6 below the one before it raises.
     """
     threshold = -lam
-    lo, hi = 1, start
+    lo, hi = 1, _SCAN_START
     prev = f_log2(lo)
     if prev >= threshold:
         return 0

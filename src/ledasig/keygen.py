@@ -15,12 +15,15 @@ int64 arrays, columns ascending in each row.  A and B are (r0, z) and
 D^-1 is (z, z) 0/1 uint8 arrays, so D, the rank-z mask K and the
 signer's kernel test are small matrix products.
 
-Signing applies S to sparse supports (apply_s), which packs S . x^T
-straight into the signature's wire layout.  The public key needs S^-1
-only through S^-T = PiLambda . (E^-T x I_p) . PiPhi, which has the shape
-of S, so build_public_key runs the same chain with E^-T in place of E.
-It packs each block row of H' straight into PublicKey.words, the key's
-wire payload and the one form it is held in.
+The sparse quasi-cyclic operators V, M and S are each one (blocks, rots)
+table, applied by qc.qc_map.  S is the three factors composed once per
+key into an (n0, m_S) table; signing applies it to sparse supports
+(apply_s) and packs S . x^T straight into the signature's wire layout.
+The public key needs S^-1 only through S^-T = PiLambda . (E^-T x I_p) .
+PiPhi, which has the shape of S, so build_public_key composes the same
+table with E^-T in place of E.  It packs each block row of H' straight
+into PublicKey.words, the key's wire payload and the one form it is held
+in.
 
 Everything is derived deterministically from a seed: the sampler call
 order below is fixed and replaying a seed reproduces the key bit for bit.
@@ -37,10 +40,8 @@ from .drbg import Xof
 from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
-from .qc import (GenPermutation, PackedVector, dense_invert,
-                 genperm_from_left, genperm_from_right, inverse_int,
-                 invert_perm, odd_bits, pack_blocks, padding_clear,
-                 transpose_int)
+from .qc import (PackedVector, dense_invert, inverse_int, invert_perm,
+                 odd_bits, pack_blocks, padding_clear, qc_map)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,20 @@ class PrivateKey:
                 and all(map(np.array_equal, self._arrays(), other._arrays())))
 
     @cached_property
-    def pi_lambda(self) -> GenPermutation:
-        return genperm_from_left(list(self.s.perm1), list(self.s.lam_rots),
-                                 self.params.p)
+    def s_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """S as its (n0, m_S) (blocks, rots) table."""
+        return scrambler_map(self, _support(self.s.e_poly, self.params.n0))
 
     @cached_property
-    def pi_phi(self) -> GenPermutation:
-        return genperm_from_right(list(self.s.perm2), list(self.s.phi_rots),
-                                  self.params.p)
+    def m_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """M = (P x I_p) . Diag(x^psi) as its (r0, 1) (blocks, rots) table.
 
-    @cached_property
-    def m_perm(self) -> GenPermutation:
-        return genperm_from_right(list(self.q.perm), list(self.q.psi_rots),
-                                  self.params.p)
+        P[i][j] = 1 iff j = perm[i], so block b goes to perm^-1[b],
+        rotated by -psi[b].
+        """
+        q = self.q
+        return (np.array(invert_perm(q.perm))[:, None],
+                (-np.array(q.psi_rots)[:, None]) % self.params.p)
 
 
 @dataclass(eq=False)
@@ -207,26 +209,29 @@ def gen_q(params: SysParams, xof: Xof) -> QFactors:
 
 
 # ---------------------------------------------------------------------------
-# the scrambler chain PiLambda . (C(e) x I_p) . PiPhi on sparse supports
+# the scrambler PiLambda . (C(e) x I_p) . PiPhi as one table
 
 
 def _support(poly: int, n: int) -> np.ndarray:
     return np.array([d for d in range(n) if (poly >> d) & 1], dtype=np.int64)
 
 
-def _scramble(sk: PrivateKey, e_poly: int, pos: np.ndarray) -> np.ndarray:
-    """Bits of PiLambda . (C(e_poly) x I_p) . PiPhi . x^T, x given by support.
+def scrambler_map(sk: PrivateKey,
+                  shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, rots) table of PiLambda . (C(e) x I_p) . PiPhi, supp(e) = shifts.
 
-    C(e_poly) is the n0 x n0 circulant of e_poly: output block b - d
-    collects input block b for every d in the support of e_poly.  Positions
-    keep their order and repeats until one parity at the end, so a position
-    repeated in pos cancels.
+    PiPhi = (P2 x I_p) . Diag(x^phi) sends block b to perm2^-1[b] rotated
+    by -phi[b]; C(e), the n0 x n0 circulant of e, sends block c to c - d
+    for each d in shifts; PiLambda = Diag(x^lam) . (P1 x I_p) sends block
+    c to c' = perm1^-1[c] rotated by -lam[c'].  The rotations add, so the
+    product is one table with a column per shift.
     """
-    prm = sk.params
-    p, n0 = prm.p, prm.n0
-    blk, o = np.divmod(sk.pi_phi.apply(pos), p)
-    mixed = ((blk[:, None] - _support(e_poly, n0)) % n0) * p + o[:, None]
-    return odd_bits(sk.pi_lambda.apply(mixed.ravel()), prm.n)
+    s, p, n0 = sk.s, sk.params.p, sk.params.n0
+    inv1 = np.array(invert_perm(s.perm1))
+    inv2 = np.array(invert_perm(s.perm2))
+    blocks = inv1[(inv2[:, None] - shifts) % n0]
+    rots = (-np.array(s.phi_rots)[:, None] - np.array(s.lam_rots)[blocks]) % p
+    return blocks, rots
 
 
 def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
@@ -235,7 +240,7 @@ def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
     x is the sum of the unit vectors at pos, so a repeated position cancels.
     """
     prm = sk.params
-    bits = _scramble(sk, sk.s.e_poly, pos)
+    bits = odd_bits(qc_map(sk.s_map, pos, prm.p), prm.n)
     return PackedVector.from_bits(bits.reshape(prm.n0, prm.p))
 
 
@@ -253,27 +258,29 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
 
     Row i of H' is S^-T applied to row i of Q^-1 H, with H = [V^T | I_r].
     Q^-1 H = M^T H + (K x 1_{pxp}) H.  The first term has single-coefficient
-    blocks, whose first rows go through the scrambler chain with E^-T.  The
-    second has all-ones blocks, which rotations leave unchanged, so they
-    travel as one flag per block through the block maps and E^-T.
+    blocks, whose first rows go through the table of S^-T.  E^-T is the
+    circulant of e_inv(x^-1), so its shifts are -supp(e_inv) mod n0.  The
+    second term has all-ones blocks, which rotations leave unchanged, so
+    each travels as one flag through the table's blocks alone.
     """
     prm = sk.params
     p, n0, r0, k0 = prm.p, prm.n0, prm.r0, prm.k0
     kmat = q_correction_mask(sk.q)
-    e_t = transpose_int(sk.s.e_inv, n0)
+    s_t = scrambler_map(sk, -_support(sk.s.e_inv, n0) % n0)
     cols, rots = sk.v
 
-    # all-ones flags of (K x 1_{pxp}) H, then PiPhi, E^-T and PiLambda
+    # all-ones flags of (K x 1_{pxp}) H.  S^-T sends flag (i, b) to each
+    # (i, blocks[b, j]); E^-T is dense, so their parity is taken as the
+    # flags times the table's block incidence (uint8 sums wrap mod 256,
+    # which keeps it), not over a list of the pairs.
     nzv = np.zeros((k0, r0), dtype=np.uint8)
     np.put_along_axis(nzv, cols, 1, axis=1)
     flags = np.empty((r0, n0), dtype=np.uint8)
     flags[:, :k0] = (kmat @ nzv.T) & 1
     flags[:, k0:] = kmat
-    phi = np.empty_like(flags)
-    phi[:, sk.pi_phi.block_perm] = flags
-    mixed = sum(np.roll(phi, -d, axis=1) for d in _support(e_t, n0)) & 1
-    ones = np.empty((r0, n0), dtype=bool)
-    ones[:, sk.pi_lambda.block_perm] = mixed
+    incidence = np.zeros((n0, n0), dtype=np.uint8)
+    np.put_along_axis(incidence, s_t[0], 1, axis=1)
+    ones = ((flags @ incidence) & 1).astype(bool)
 
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
     for i, ki in enumerate(invert_perm(sk.q.perm)):
@@ -282,7 +289,7 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
         rows, slots = np.nonzero(cols == ki)
         sup = np.append(rows * p + (rot - rots[rows, slots]) % p,
                         (k0 + ki) * p + rot % p)
-        bits = _scramble(sk, e_t, sup).reshape(n0, p)
+        bits = odd_bits(qc_map(s_t, sup, p), prm.n).reshape(n0, p)
         bits ^= ones[i][:, None]
         words[i] = pack_blocks(bits)
     return PublicKey(prm, words)

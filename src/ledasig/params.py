@@ -10,31 +10,16 @@ n = n0*p, r = r0*p, k = (n0-r0)*p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+# the integer fields, each at least 1 in every mode
+_COUNTS = ("n0", "r0", "p", "z", "m_S", "w", "w_g", "m_g")
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin, valid for n < 3.3 * 10^24
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; every strict p, n0 and r0 is at most 3449."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _order_of_two(n: int) -> int:
@@ -64,6 +49,10 @@ class SysParams:
     def __post_init__(self):
         if self.category not in (1, 3, 5):
             raise ValueError("category must be 1, 3 or 5")
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n0 <= self.r0:
             raise ValueError("n0 must exceed r0")
         if self.strict:

@@ -8,17 +8,18 @@ Conventions used throughout the package:
 
 * circulant row r of poly a = a rotated left by r, i.e. C[r][c] = a[(c-r) % p]
 * product of circulants = product of polynomials
-* C(a) . vec corresponds to transpose_int(a) * v(x) on column vectors
+* C(a) . vec corresponds to a(x^-1) * v(x) on column vectors
 
-GenPermutation is the one implementation of a generalized permutation's
-index map; the scrambler S and the permutation part M of Q both use it.
+A sparse quasi-cyclic operator, one whose blocks are zero or a single
+power of x, is held as a (blocks, rots) table, and qc_map is the one
+implementation of its index map: V, the permutation part M of Q and the
+whole scrambler S all go through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,19 +55,6 @@ def odd_bits(pos: np.ndarray, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # raw polynomial kernels (ints, little-endian coefficient packing)
-
-
-def transpose_int(a: int, p: int) -> int:
-    """Coefficient map i -> (-i) mod p (transpose of the circulant)."""
-    out = a & 1
-    rest = a >> 1
-    pos = p - 1
-    while rest:
-        if rest & 1:
-            out |= 1 << pos
-        rest >>= 1
-        pos -= 1
-    return out
 
 
 def _divmod_gf2(a: int, b: int) -> tuple[int, int]:
@@ -141,15 +129,6 @@ class SparseVector:
             s = self.support
         if s and (s[0] < 0 or s[-1] >= self.length):
             raise DimensionError("support position out of range")
-
-    @classmethod
-    def from_int(cls, v: int, length: int) -> "SparseVector":
-        sup = []
-        while v:
-            low = v & -v
-            sup.append(low.bit_length() - 1)
-            v ^= low
-        return cls(length, tuple(sup))
 
     def to_int(self) -> int:
         v = 0
@@ -241,7 +220,7 @@ def dense_invert(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# permutations and generalized (block) permutations
+# permutations and sparse quasi-cyclic operators
 
 
 def invert_perm(perm) -> list[int]:
@@ -252,48 +231,17 @@ def invert_perm(perm) -> list[int]:
     return inv
 
 
-@dataclass(frozen=True)
-class GenPermutation:
-    """Block permutation with a cyclic rotation inside each block.
+def qc_map(table: tuple[np.ndarray, np.ndarray], pos: np.ndarray,
+           p: int) -> np.ndarray:
+    """Images of the int64 positions pos under a sparse QC operator.
 
-    Index b*p + o of the input is sent to block_perm[b]*p + (o + rotations[b]) % p
-    of the output.
+    table is (blocks, rots), two (b, m) int64 arrays: input block i goes
+    to output block blocks[i, j] rotated by rots[i, j], for each column j.
+    Position i*p + o has the m images blocks[i, j]*p + (o + rots[i, j]) % p;
+    they are returned flat, those of pos[0] first.  The operator's output
+    is their GF(2) sum, so an image repeated an even number of times
+    cancels.
     """
-
-    block_perm: tuple[int, ...]
-    rotations: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        b = len(self.block_perm)
-        if sorted(self.block_perm) != list(range(b)):
-            raise DimensionError("block_perm is not a bijection")
-        if len(self.rotations) != b:
-            raise DimensionError("one rotation required per block")
-
-    @cached_property
-    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array(self.block_perm, dtype=np.int64),
-                np.array(self.rotations, dtype=np.int64))
-
-    def apply(self, pos: np.ndarray) -> np.ndarray:
-        """Images of the int64 positions pos, in the same order."""
-        blocks, rots = self._maps
-        b, o = np.divmod(pos, self.p)
-        return blocks[b] * self.p + (o + rots[b]) % self.p
-
-
-def genperm_from_left(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
-    """Generalized permutation equal to Diag(x^rots) . (P x I_p).
-
-    P is the permutation matrix with P[i][j] = 1 iff j = perm_rows[i]; the
-    rotation x^rots[i] scales block row i.
-    """
-    inv = invert_perm(perm_rows)
-    return GenPermutation(tuple(inv), tuple((-rots[i]) % p for i in inv), p)
-
-
-def genperm_from_right(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
-    """Generalized permutation equal to (P x I_p) . Diag(x^rots)."""
-    return GenPermutation(tuple(invert_perm(perm_rows)),
-                          tuple((-r) % p for r in rots), p)
+    blocks, rots = table
+    b, o = np.divmod(pos, p)
+    return (blocks[b] * p + (o[:, None] + rots[b]) % p).ravel()

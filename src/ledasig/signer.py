@@ -25,7 +25,7 @@ from .drbg import Xof, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
-from .qc import PackedVector, SparseVector, odd_bits
+from .qc import PackedVector, SparseVector, odd_bits, qc_map
 
 THETA_MAX = (1 << 64) - 1
 _THETA_ITER_CAP = 1 << 32
@@ -107,12 +107,9 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
     p, k, r = prm.p, prm.k, prm.r
     target = prm.m_g * prm.w_g
     floor = codeword_weight_floor(prm)
-    cols, rots = sk.v
     for _ in range(_CODEWORD_RETRY_CAP):
         u = np.array(xof.distinct(k, prm.m_g), dtype=np.int64)
-        b, o = np.divmod(u, p)
-        hits = cols[b] * p + (rots[b] + o[:, None]) % p
-        right = np.flatnonzero(odd_bits(hits.ravel(), r))
+        right = np.flatnonzero(odd_bits(qc_map(sk.v, u, p), r))
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
             return np.concatenate((np.sort(u), right + k))
@@ -128,7 +125,8 @@ def gen_error(sk: PrivateKey, message: bytes, xof: Xof):
         digest = hash_digest(message, theta, prm)
         s = cw_encode(digest, prm.r, prm.w)
         if kernel_check(sk.q.b, s, prm.p):
-            s_perm = sk.m_perm.apply(np.asarray(s.support, dtype=np.int64))
+            s_perm = qc_map(sk.m_map, np.asarray(s.support, dtype=np.int64),
+                            prm.p)
             return theta, s_perm + prm.k, s
     raise ThetaExhausted("no salt passed the kernel test")
 

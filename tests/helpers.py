@@ -4,8 +4,10 @@ Everything here expands matrices to dense row-int form, multiplies
 naively or applies a factor's inverse map on its own; it is only meant
 for toy-sized parameters.  QcMatrix (a grid of circulant polynomials
 packed in ints), the polynomial and quasi-cyclic products, the inverse
-application procedures for S and Q, and the transposed
-generalized-permutation map live here because only tests use them.  So do
+application procedures for S and Q, and the generalized permutations
+Pi_Lambda, Pi_Phi and M built from the raw key factors live here because
+only tests use them; they check the package's composed (blocks, rots)
+tables independently.  So do
 the scalar AND / XOR weight-distribution loops that the estimator's array
 steps must reproduce bit for bit, the written-out parity-sum loops and
 SIA count tails that its single parity sums and _p_i_ge_j must reproduce
@@ -26,8 +28,7 @@ from ledasig.estimator import (NEG_INF, _lb, _log2_pow_diff, _safe_log2,
                                log2_sum)
 from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
                             q_correction_mask)
-from ledasig.qc import (GenPermutation, SparseVector, inverse_int,
-                        invert_perm, transpose_int)
+from ledasig.qc import SparseVector, inverse_int, invert_perm, qc_map
 
 
 def toy_private_key(prm, seed: bytes) -> PrivateKey:
@@ -37,8 +38,26 @@ def toy_private_key(prm, seed: bytes) -> PrivateKey:
                       s=gen_s(prm, xof), q=gen_q(prm, xof))
 
 
+def sparse_from_int(v: int, length: int) -> SparseVector:
+    """SparseVector of the set bits of v."""
+    return SparseVector(length, tuple(int_to_support(v).tolist()))
+
+
 # ---------------------------------------------------------------------------
 # circulant and quasi-cyclic matrices of int-packed polynomials
+
+
+def transpose_int(a: int, p: int) -> int:
+    """Coefficient map i -> (-i) mod p (transpose of the circulant)."""
+    out = a & 1
+    rest = a >> 1
+    pos = p - 1
+    while rest:
+        if rest & 1:
+            out |= 1 << pos
+        rest >>= 1
+        pos -= 1
+    return out
 
 
 def circulant_rows(a: int, p: int) -> list[int]:
@@ -195,7 +214,7 @@ def qc_vec_mul(a: QcMatrix, v: SparseVector) -> SparseVector:
     out = 0
     for ib in range(a.rows_blocks):
         out |= acc[ib] << (ib * p)
-    return SparseVector.from_int(out, a.rows_blocks * p)
+    return sparse_from_int(out, a.rows_blocks * p)
 
 
 def words_to_qc(words: np.ndarray, p: int) -> QcMatrix:
@@ -220,6 +239,71 @@ def qc_transpose(mat: QcMatrix) -> QcMatrix:
         tuple(tuple(transpose_int(mat.blocks[i][j], mat.p)
                     for i in range(mat.rows_blocks))
               for j in range(mat.cols_blocks)))
+
+
+# ---------------------------------------------------------------------------
+# generalized (block) permutations, built from the key's raw factors
+
+
+@dataclass(frozen=True)
+class GenPermutation:
+    """Block permutation with a cyclic rotation inside each block.
+
+    Index b*p + o of the input is sent to block_perm[b]*p + (o + rotations[b]) % p
+    of the output.
+    """
+
+    block_perm: tuple[int, ...]
+    rotations: tuple[int, ...]
+    p: int
+
+    def __post_init__(self):
+        b = len(self.block_perm)
+        if sorted(self.block_perm) != list(range(b)):
+            raise DimensionError("block_perm is not a bijection")
+        if len(self.rotations) != b:
+            raise DimensionError("one rotation required per block")
+
+    def apply(self, pos: np.ndarray) -> np.ndarray:
+        """Images of the int64 positions pos, in the same order."""
+        blocks = np.array(self.block_perm, dtype=np.int64)
+        rots = np.array(self.rotations, dtype=np.int64)
+        b, o = np.divmod(pos, self.p)
+        return blocks[b] * self.p + (o + rots[b]) % self.p
+
+
+def genperm_from_left(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
+    """Generalized permutation equal to Diag(x^rots) . (P x I_p).
+
+    P is the permutation matrix with P[i][j] = 1 iff j = perm_rows[i]; the
+    rotation x^rots[i] scales block row i.
+    """
+    inv = invert_perm(perm_rows)
+    return GenPermutation(tuple(inv), tuple((-rots[i]) % p for i in inv), p)
+
+
+def genperm_from_right(perm_rows: list[int], rots: list[int], p: int) -> GenPermutation:
+    """Generalized permutation equal to (P x I_p) . Diag(x^rots)."""
+    return GenPermutation(tuple(invert_perm(perm_rows)),
+                          tuple((-r) % p for r in rots), p)
+
+
+def pi_lambda(sk: PrivateKey) -> GenPermutation:
+    """PiLambda = Diag(x^lam_rots) . (P1 x I_p) of the scrambler S."""
+    return genperm_from_left(list(sk.s.perm1), list(sk.s.lam_rots),
+                             sk.params.p)
+
+
+def pi_phi(sk: PrivateKey) -> GenPermutation:
+    """PiPhi = (P2 x I_p) . Diag(x^phi_rots) of the scrambler S."""
+    return genperm_from_right(list(sk.s.perm2), list(sk.s.phi_rots),
+                              sk.params.p)
+
+
+def m_perm(sk: PrivateKey) -> GenPermutation:
+    """M = (P x I_p) . Diag(x^psi_rots), the permutation part of Q."""
+    return genperm_from_right(list(sk.q.perm), list(sk.q.psi_rots),
+                              sk.params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +336,8 @@ def kron_blockmix_apply(poly: int, n0: int, p: int, pos: np.ndarray) -> np.ndarr
 def invert_s(sk: PrivateKey):
     """Application procedure for S^-1 = PiPhi^T (E^-1 x I_p) PiLambda^T."""
     prm = sk.params
-    lam_t = genperm_transpose(sk.pi_lambda)
-    phi_t = genperm_transpose(sk.pi_phi)
+    lam_t = genperm_transpose(pi_lambda(sk))
+    phi_t = genperm_transpose(pi_phi(sk))
 
     def apply_s_inv(pos: np.ndarray) -> np.ndarray:
         out = kron_blockmix_apply(sk.s.e_inv, prm.n0, prm.p, lam_t.apply(pos))
@@ -267,7 +351,7 @@ def invert_q(sk: PrivateKey):
     prm = sk.params
     p, r0 = prm.p, prm.r0
     kmat = q_correction_mask(sk.q)
-    m_t = genperm_transpose(sk.m_perm)
+    m_t = genperm_transpose(m_perm(sk))
 
     def apply_q_inv(pos: np.ndarray) -> np.ndarray:
         out = np.sort(m_t.apply(pos))
@@ -356,13 +440,24 @@ def genperm_dense(perm: GenPermutation) -> list[int]:
     return rows
 
 
+def table_dense(table, p: int) -> list[int]:
+    """Dense rows of a square sparse QC operator held as a (blocks, rots)
+    table, one image at a time."""
+    n = len(table[0]) * p
+    rows = [0] * n
+    for idx in range(n):
+        for dst in qc_map(table, np.array([idx], dtype=np.int64), p).tolist():
+            rows[dst] ^= 1 << idx
+    return rows
+
+
 def s_dense(sk: PrivateKey) -> list[int]:
     """Dense S = PiLambda . (E x I_p) . PiPhi."""
     prm = sk.params
     e_rows = circulant_rows(sk.s.e_poly, prm.n0)
     ekron = kron_with_identity(e_rows, prm.n0, prm.p)
-    lam = genperm_dense(sk.pi_lambda)
-    phi = genperm_dense(sk.pi_phi)
+    lam = genperm_dense(pi_lambda(sk))
+    phi = genperm_dense(pi_phi(sk))
     return dense_mul(dense_mul(lam, ekron, prm.n), phi, prm.n)
 
 
@@ -370,15 +465,15 @@ def s_inv_dense(sk: PrivateKey) -> list[int]:
     prm = sk.params
     e_rows = circulant_rows(sk.s.e_inv, prm.n0)
     ekron = kron_with_identity(e_rows, prm.n0, prm.p)
-    lam_t = dense_transpose(genperm_dense(sk.pi_lambda), prm.n)
-    phi_t = dense_transpose(genperm_dense(sk.pi_phi), prm.n)
+    lam_t = dense_transpose(genperm_dense(pi_lambda(sk)), prm.n)
+    phi_t = dense_transpose(genperm_dense(pi_phi(sk)), prm.n)
     return dense_mul(dense_mul(phi_t, ekron, prm.n), lam_t, prm.n)
 
 
 def q_dense(sk: PrivateKey) -> list[int]:
     """Dense Q = M + (A B^T) x 1_{pxp}."""
     prm = sk.params
-    m_rows = genperm_dense(sk.m_perm)
+    m_rows = genperm_dense(m_perm(sk))
     ab = []
     for i in range(prm.r0):
         row = 0
@@ -394,7 +489,7 @@ def q_dense(sk: PrivateKey) -> list[int]:
 
 def q_inv_dense(sk: PrivateKey) -> list[int]:
     prm = sk.params
-    m_t = dense_transpose(genperm_dense(sk.m_perm), prm.r)
+    m_t = dense_transpose(genperm_dense(m_perm(sk)), prm.r)
     k = q_correction_mask(sk.q)
     k_rows = [int("".join(str(b) for b in reversed(k[i])), 2) if k[i].any() else 0
               for i in range(prm.r0)]

@@ -3,8 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 
 Criterion 3's lifetime column is asserted per instance at the stated
-+/-5% tolerance.  Eight instances reproduce the published counts
-integer-exactly; the gamma3 entry is not reproducible from the printed
++/-5% tolerance.  Seven instances reproduce the published counts
+integer-exactly and beta3 is one above its count (float64 cancellation,
+34502 vs 34501); the gamma3 entry is not reproducible from the printed
 model (faithful computation gives 98204 vs the published 107005, -8.2%)
 and that single sub-check fails by design rather than being loosened.
 The analysis lives in the decisions ledger.
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from helpers import (QcMatrix, dense_eye, dense_mul, dense_vec_mul, q_dense,
-                     q_inv_dense, qc_mul, qc_vec_mul, s_dense, s_inv_dense)
+                     q_inv_dense, qc_mul, qc_vec_mul, s_dense, s_inv_dense,
+                     sparse_from_int)
 from ledasig import (INSTANCES, encode_private_key_at_rest,
                      encode_public_key, encode_signature, get_instance,
                      keypair_from_seed, private_key_at_rest_bytes,
@@ -203,8 +205,8 @@ def test_criterion_3_lifetime(reports, name):
     assert ok, (
         f"{name}: lifetime {got} vs published {ref} "
         "(gamma3 is a known, documented deviation: the printed model "
-        "reproduces the other eight instances integer-exactly and was "
-        "verified at 40-digit precision; see docs/decisions.md)")
+        "reproduces seven instances integer-exactly and beta3 within one, "
+        "and was verified at 40-digit precision; see docs/decisions.md)")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ def test_criterion_6_oracles():
         dense_rows.append(row)
     for v in range(1 << (r0 * p)):
         expected = all((row & v).bit_count() % 2 == 0 for row in dense_rows)
-        got = kernel_check(bmat, SparseVector.from_int(v, r0 * p), p)
+        got = kernel_check(bmat, sparse_from_int(v, r0 * p), p)
         assert got == expected
     _emit("criterion-6 (oracle equivalence)", True)
 

@@ -109,14 +109,29 @@ def test_estimate_custom_params_echo(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("extra", ["foo=1", "m_T=4", "category=2"])
+@pytest.mark.parametrize("extra", [
+    "foo=1", "m_T=4", "category=2", "n0=0", "r0=0", "p=0", "z=0",
+    "m_S=-1", "w=0", "w_g=0", "m_g=0"])
 def test_estimate_bad_custom_params_are_usage_errors(capsys, extra):
-    # an unknown key or a category outside {1, 3, 5} is a bad argument
+    # an unknown key, a category outside {1, 3, 5} or a count below 1 is a
+    # bad argument, and the error names it
     rc = main(["estimate", "--params",
                "n0=29,r0=13,p=13,z=2,m_S=3,w=3,w_g=7,m_g=2," + extra])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert extra.partition("=")[0] in err
+
+
+def test_estimate_jsonl_when_lca_is_weakest(capsys):
+    # toy29w: LCA has the smallest work factor, so "pass" comes from it
+    rc = main(["estimate", "--params",
+               "n0=29,r0=13,p=31,z=2,m_S=3,w=2,w_g=5,m_g=1", "--jsonl"])
+    assert rc == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert row["wf_lca"] < min(row["wf_sia"], row["wf_da_pq"],
+                               row["wf_kra_pq"])
+    assert row["pass"] is False
 
 
 def test_estimate_requires_target():

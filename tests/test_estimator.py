@@ -273,8 +273,9 @@ def test_signature_space_reference_values():
 
 
 def test_signature_space_degenerate():
-    prm = toy_params("deg", n0=13, r0=5, p=7, z=0, m_S=3, w=0, w_g=5, m_g=2)
-    assert signature_space(prm).n_s_log2 == 0.0
+    # the smallest syndrome weight and rank: log2 C(r, 1) - 1
+    prm = toy_params("deg", n0=13, r0=5, p=7, z=1, m_S=3, w=1, w_g=5, m_g=2)
+    assert abs(signature_space(prm).n_s_log2 - (math.log2(35) - 1)) < 1e-12
 
 
 def test_collision_bounds_ratio():
@@ -304,7 +305,7 @@ def test_sia_reference_values():
 
 def test_sia_single_step_collapse():
     # w_L = w: one intersection step only
-    est = sia_wf(A3, max_collected=3, max_w_l=A3.w)
+    est = sia_wf(A3)
     _, p_i, _, p_j = _bit_probabilities(A3, A3.w, _codeword_row_parities(A3))
     single = _sia_wf_at(A3, 2, A3.w, p_and_intersection(A3, 2, A3.w),
                         _p_i_ge_j(A3.n, 2, A3.m_S * A3.w, p_i, p_j))
@@ -451,3 +452,13 @@ def test_report_serialization_fields():
     assert d["pass"] is True
     assert all(v >= 0 for k, v in d.items()
                if isinstance(v, float) and k.startswith(("wf", "log2")))
+
+
+@pytest.mark.parametrize("name", ["toy29w", "a3"])
+def test_report_dict_holds_plain_python_types(name):
+    # json.dumps takes no numpy scalar; toy29w's weakest attack is LCA
+    prm = A3 if name == "a3" else toy_params(name)
+    d = full_report(prm).to_dict()
+    assert {type(v) for v in d.values()} <= {str, int, float, bool}
+    assert type(d["pass"]) is bool
+    assert type(lca_wf(prm).wf_log2) is float

@@ -3,15 +3,17 @@ import pytest
 
 from helpers import (dense_eye, dense_mul, dense_transpose, dense_vec_mul,
                      g_dense, genperm_dense, genperm_transpose, h_dense,
-                     invert_q, invert_s, kron_blockmix_apply, q_dense,
-                     q_inv_dense, s_dense, s_inv_dense, support_to_int,
-                     toy_private_key, v_qc, words_to_qc)
+                     invert_q, invert_s, kron_blockmix_apply, m_perm,
+                     pi_lambda, pi_phi, q_dense, q_inv_dense, s_dense,
+                     s_inv_dense, support_to_int, table_dense,
+                     toy_private_key, transpose_int, v_qc, words_to_qc)
 from ledasig import keypair_from_seed, toy_params
 from ledasig.drbg import Xof
-from ledasig.keygen import (PrivateKey, apply_s, build_public_key, compute_d,
-                            gen_v, q_correction_mask)
+from ledasig.keygen import (PrivateKey, _support, apply_s, build_public_key,
+                            compute_d, gen_v, q_correction_mask,
+                            scrambler_map)
 from ledasig.params import get_instance
-from ledasig.qc import invert_perm, transpose_int
+from ledasig.qc import invert_perm
 
 
 def _assert_v_rows(v, prm):
@@ -36,7 +38,7 @@ def test_gen_v_block_row_structure():
 
 
 def test_gen_v_degenerate_wg1():
-    prm = toy_params("genv1", n0=7, r0=3, p=5, z=1, m_S=1, w=0, w_g=1, m_g=1)
+    prm = toy_params("genv1", n0=7, r0=3, p=5, z=1, m_S=1, w=1, w_g=1, m_g=1)
     cols, rots = gen_v(prm, Xof(b"v"))
     assert cols.shape == rots.shape == (prm.k0, 0)
 
@@ -67,13 +69,43 @@ def test_s_row_weight_full_scale(a3_key):
     sk, _ = a3_key
     prm = sk.params
     et = transpose_int(sk.s.e_poly, prm.n0)
-    lam_t = genperm_transpose(sk.pi_lambda)
-    phi_t = genperm_transpose(sk.pi_phi)
+    lam_t = genperm_transpose(pi_lambda(sk))
+    phi_t = genperm_transpose(pi_phi(sk))
     for i in (0, 127, prm.n - 1):
         pos = lam_t.apply(np.array([i], dtype=np.int64))
         pos = kron_blockmix_apply(et, prm.n0, prm.p, pos)
         pos = phi_t.apply(pos)
         assert len(pos) == prm.m_S
+
+
+TABLE_SHAPES = [
+    dict(n0=5, r0=2, p=3, z=1, m_S=3, w=1, w_g=3, m_g=1),
+    dict(n0=13, r0=5, p=4, z=2, m_S=5, w=1, w_g=3, m_g=1),
+    dict(n0=11, r0=3, p=5, z=1, m_S=1, w=1, w_g=3, m_g=1),
+]
+
+
+@pytest.mark.parametrize("shape", range(len(TABLE_SHAPES)))
+def test_key_tables_match_dense_factors(shape):
+    # S's composed table against PiLambda . (E x I_p) . PiPhi and M's
+    # against the generalized permutation, both built from the raw factors
+    prm = toy_params("tab", **TABLE_SHAPES[shape])
+    sk = toy_private_key(prm, b"tab%d" % shape)
+    blocks, rots = sk.s_map
+    assert blocks.shape == rots.shape == (prm.n0, prm.m_S)
+    assert table_dense(sk.s_map, prm.p) == s_dense(sk)
+    assert sk.m_map[0].shape == (prm.r0, 1)
+    assert table_dense(sk.m_map, prm.p) == genperm_dense(m_perm(sk))
+
+
+@pytest.mark.parametrize("shape", range(len(TABLE_SHAPES)))
+def test_s_inverse_transpose_table(shape):
+    # the table build_public_key composes from -supp(e_inv) is S^-T
+    prm = toy_params("tab", **TABLE_SHAPES[shape])
+    sk = toy_private_key(prm, b"tab%d" % shape)
+    shifts = -_support(sk.s.e_inv, prm.n0) % prm.n0
+    s_t = table_dense(scrambler_map(sk, shifts), prm.p)
+    assert s_t == dense_transpose(s_inv_dense(sk), prm.n)
 
 
 def test_s_trivial_permutation_case():
@@ -159,7 +191,7 @@ def test_q_rank_correction_bounded(toy13_key):
     sk, _ = toy13_key
     prm = sk.params
     # R = Q - M must have rank at most z over GF(2)
-    m_rows = genperm_dense(sk.m_perm)
+    m_rows = genperm_dense(m_perm(sk))
     r_rows = [q ^ m for q, m in zip(q_dense(sk), m_rows)]
     assert _gf2_rank(r_rows) <= prm.z
 
@@ -194,7 +226,7 @@ def test_invert_q_matches_dense_inverse():
 
 def test_public_key_trivial_factors():
     # V = 0 and S = Q = I gives H' = [0 | I]
-    prm = toy_params("pk0", n0=5, r0=2, p=3, z=1, m_S=1, w=0, w_g=1, m_g=1)
+    prm = toy_params("pk0", n0=5, r0=2, p=3, z=1, m_S=1, w=1, w_g=1, m_g=1)
     from ledasig.keygen import QFactors, SFactors
     n0, r0, p = prm.n0, prm.r0, prm.p
     no_v = np.zeros((prm.k0, 0), dtype=np.int64)

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (BitPoly, QcMatrix, dense_eye, dense_mul,
-                     dense_transpose, dense_vec_mul, genperm_dense,
+from helpers import (BitPoly, GenPermutation, QcMatrix, dense_eye,
+                     dense_mul, dense_transpose, dense_vec_mul,
+                     genperm_dense, genperm_from_left, genperm_from_right,
                      genperm_transpose, mul_int, poly_inverse, poly_mul,
-                     qc_mul, qc_vec_mul, support_to_int)
+                     qc_mul, qc_vec_mul, support_to_int, transpose_int)
 from ledasig.errors import DimensionError, NotInvertible, Singular
-from ledasig.qc import (GenPermutation, SparseVector, dense_invert,
-                        genperm_from_left, genperm_from_right, inverse_int,
-                        odd_bits, transpose_int)
+from ledasig.qc import (SparseVector, dense_invert, inverse_int, odd_bits,
+                        qc_map)
 
 
 def rnd_poly(rng, p):
@@ -286,6 +286,33 @@ def test_genperm_factor_constructors_match_dense(seed):
     assert genperm_dense(left) == dense_mul(diag, pk, n)
     right = genperm_from_right(perm, rots, p)
     assert genperm_dense(right) == dense_mul(pk, diag, n)
+
+
+# ---------------------------------------------------------------------------
+# sparse quasi-cyclic operators as (blocks, rots) tables
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qc_map_columns_are_generalized_permutations(seed):
+    # each column of a table whose columns permute the blocks is one
+    # generalized permutation; qc_map lists the columns' images per position
+    rng = random.Random(seed + 70)
+    b, p, m = 5, 7, 3
+    perms = [rng.sample(range(b), b) for _ in range(m)]
+    rots = [[rng.randrange(p) for _ in range(b)] for _ in range(m)]
+    table = (np.array(perms, dtype=np.int64).T, np.array(rots, dtype=np.int64).T)
+    pos = np.array(rng.sample(range(b * p), 9), dtype=np.int64)
+    got = qc_map(table, pos, p).reshape(len(pos), m)
+    for j in range(m):
+        gp = GenPermutation(tuple(perms[j]), tuple(rots[j]), p)
+        assert np.array_equal(got[:, j], gp.apply(pos))
+
+
+def test_qc_map_empty_inputs():
+    table = (np.array([[1], [0]]), np.array([[2], [0]]))
+    assert qc_map(table, np.zeros(0, dtype=np.int64), 3).size == 0
+    no_cols = (np.zeros((2, 0), dtype=np.int64),) * 2
+    assert qc_map(no_cols, np.array([4], dtype=np.int64), 3).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (dense_vec_mul, h_dense, kron_all_ones, support_to_int,
-                     toy_private_key)
+from helpers import (dense_vec_mul, h_dense, kron_all_ones, sparse_from_int,
+                     support_to_int, toy_private_key)
 from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.params import get_instance
@@ -114,7 +114,7 @@ def test_kernel_check_exhaustive_against_dense():
     # keep only one row per z (the kron helper replicates rows p times)
     dense = [dense[i * p] for i in range(z)]
     for v in range(1 << (r0 * p)):
-        s = SparseVector.from_int(v, r0 * p)
+        s = sparse_from_int(v, r0 * p)
         expected = all((row & v).bit_count() % 2 == 0 for row in dense)
         assert kernel_check(b, s, p) == expected
 
