@@ -61,15 +61,8 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _load_private(path: str):
-    data = codec.read_file(path)
-    if len(data) >= 5 and data[4] == codec.KIND_PRIVATE_EXPANDED:
-        return codec.decode_private_key_expanded(data)
-    return codec.expand_private_key_only(data)
-
-
 def cmd_sign(args) -> int:
-    sk = _load_private(args.sk)
+    sk = codec.decode_private_key(codec.read_file(args.sk))
     message = codec.read_file(args.message_file)
     sig = sign(sk, message, rng=fresh_xof())
     codec.write_file(args.out, codec.encode_signature(sig, sk.params))

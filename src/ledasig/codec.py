@@ -6,17 +6,22 @@ followed by the payload.  Circulant blocks are packed little-endian into
 convention reproduces the reference public-key and signature sizes for
 all nine instances.
 
-A public key (PublicKey.words) and a signature's sigma (a PackedVector)
-are held in memory as exactly their wire payloads, so encoding copies
-their words and decoding checks only the length and that no block has a
-bit set at or above p.
+Each payload is one packed numpy record, written out once in _layout:
+its itemsize is the payload size, _encode joins the fields' bytes in
+layout order, and _decode checks the header and exact length and reads
+the record in place.  A public key (PublicKey.words) and a signature's
+sigma (a PackedVector) are held in memory as exactly their wire fields,
+so encoding copies their words and decoding checks only that no block
+has a bit set at or above p.
 
 Payload sizes:
-  public key   r0 * n0 * ceil(p/64) * 8
-  signature    n0 * ceil(p/64) * 8 + 8         (sigma, then 64-bit salt)
-  at-rest key  seed (32/48/64 by category) + z columns of ceil(r0/8)
-               bytes holding B; expansion replays the seed and checks the
-               stored B against the regenerated one.
+  public key    r0 * n0 * ceil(p/64) * 8
+  signature     n0 * ceil(p/64) * 8 + 8         (sigma, then 64-bit salt)
+  at-rest key   seed (32/48/64 by category) + z columns of ceil(r0/8)
+                bytes holding B; expansion replays the seed and checks the
+                stored B against the regenerated one.
+  expanded key  seed, V as k0 x (w_g - 1) (u16 column, u32 rotation)
+                entries, the factors of S and Q, then A and B as columns
 
 The at-rest layout matches the reference 56-byte figure for category-1
 instances with r0 <= 96 (a3, alpha3); the remaining published at-rest
@@ -27,8 +32,8 @@ them are expected and documented rather than reverse-engineered.
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
+from functools import cache
 
 import numpy as np
 
@@ -53,102 +58,118 @@ _ID_TO_NAME = {v: k for k, v in INSTANCE_IDS.items()}
 _V_ENTRY = np.dtype([("col", "<u2"), ("rot", "<u4")])
 
 
-def _header(kind: int, params: SysParams) -> bytes:
+@cache
+def _layout(kind: int, params: SysParams) -> np.dtype:
+    """The payload of one object kind as a packed record, in wire order."""
+    n0, r0, nw = params.n0, params.r0, params.block_bytes // 8
+    seed = ("seed", "u1", params.seed_bytes)
+    columns = ("u1", (params.z, (r0 + 7) // 8))     # a 0/1 array's columns
+    return np.dtype({
+        KIND_PUBLIC: [("words", "<u8", (r0, n0, nw))],
+        KIND_SIGNATURE: [("sigma", "<u8", (n0, nw)), ("theta", "<u8")],
+        KIND_PRIVATE_AT_REST: [seed, ("b", *columns)],
+        KIND_PRIVATE_EXPANDED: [
+            seed, ("v", _V_ENTRY, (params.k0, params.w_g - 1)),
+            ("lam", "<u4", n0), ("phi", "<u4", n0),
+            ("perm1", "<u2", n0), ("perm2", "<u2", n0),
+            ("e", "u1", (n0 + 7) // 8),
+            ("perm", "<u2", r0), ("psi", "<u4", r0),
+            ("a", *columns), ("b", *columns)],
+    }[kind])
+
+
+def _encode(kind: int, params: SysParams, *fields) -> bytes:
+    """Header, then each field's bytes in _layout(kind, params) order."""
     if params.name not in INSTANCE_IDS:
         raise ValueError(f"instance {params.name!r} has no wire identifier")
-    return MAGIC + bytes([kind, INSTANCE_IDS[params.name]])
+    layout = _layout(kind, params)
+    parts = [MAGIC, bytes([kind, INSTANCE_IDS[params.name]])]
+    parts += [np.asarray(value, layout[name].base).tobytes()
+              for name, value in zip(layout.names, fields)]
+    return b"".join(parts)
 
 
-def _parse_header(data: bytes, expected_kind: int) -> SysParams:
-    if len(data) < 6:
-        raise FormatError("buffer shorter than the 6-byte header")
-    if data[:4] != MAGIC:
-        raise FormatError("bad magic")
-    kind, inst = data[4], data[5]
-    if kind != expected_kind:
-        raise FormatError(f"object kind {kind} where {expected_kind} expected")
-    if inst not in _ID_TO_NAME:
-        raise FormatError(f"unknown instance id {inst}")
-    return INSTANCES[_ID_TO_NAME[inst]]
+def _decode(data: bytes, kind: int) -> tuple[np.void, SysParams]:
+    """The payload record of a blob of the given kind, read in place."""
+    if len(data) < 6 or data[:4] != MAGIC:
+        raise FormatError("no LSG1 header")
+    if data[4] != kind:
+        raise FormatError(f"object kind {data[4]} where {kind} expected")
+    if data[5] not in _ID_TO_NAME:
+        raise FormatError(f"unknown instance id {data[5]}")
+    prm = INSTANCES[_ID_TO_NAME[data[5]]]
+    layout = _layout(kind, prm)
+    if len(data) != 6 + layout.itemsize:
+        what = ("public key", "expanded key", "at-rest key", "signature")[kind]
+        raise FormatError(f"{what} must be {6 + layout.itemsize} bytes, "
+                          f"got {len(data)}")
+    return np.frombuffer(data, layout, count=1, offset=6)[0], prm
 
 
 # ---------------------------------------------------------------------------
-# size formulas (pure functions of the parameters)
+# payload sizes (pure functions of the parameters)
 
 
 def public_key_bytes(params: SysParams) -> int:
-    return params.r0 * params.n0 * params.block_bytes
+    return _layout(KIND_PUBLIC, params).itemsize
 
 
 def signature_bytes(params: SysParams) -> int:
-    return params.n0 * params.block_bytes + 8
+    return _layout(KIND_SIGNATURE, params).itemsize
 
 
 def private_key_at_rest_bytes(params: SysParams) -> int:
-    return params.seed_bytes + params.z * ((params.r0 + 7) // 8)
+    return _layout(KIND_PRIVATE_AT_REST, params).itemsize
+
+
+def private_key_expanded_bytes(params: SysParams) -> int:
+    return _layout(KIND_PRIVATE_EXPANDED, params).itemsize
 
 
 # ---------------------------------------------------------------------------
-# public key
+# public key and signature
 
 
 def encode_public_key(pk: PublicKey) -> bytes:
-    return _header(KIND_PUBLIC, pk.params) + pk.words.tobytes()
+    return _encode(KIND_PUBLIC, pk.params, pk.words)
 
 
 def decode_public_key(data: bytes) -> PublicKey:
-    prm = _parse_header(data, KIND_PUBLIC)
-    expected = 6 + public_key_bytes(prm)
-    if len(data) != expected:
-        raise FormatError(f"public key must be {expected} bytes, got {len(data)}")
+    rec, prm = _decode(data, KIND_PUBLIC)
     # a copy: the key must not follow later writes to a mutable buffer
-    words = np.frombuffer(data, dtype="<u8", offset=6).copy()
     try:
-        return PublicKey(prm, words.reshape(prm.r0, prm.n0, -1))
+        return PublicKey(prm, rec["words"].copy())
     except DimensionError:
         raise FormatError("coefficients set beyond x^(p-1)") from None
-
-
-# ---------------------------------------------------------------------------
-# signature
 
 
 def encode_signature(sig: Signature, params: SysParams) -> bytes:
     sigma = sig.sigma
     if (sigma.blocks, sigma.p) != (params.n0, params.p):
         raise ValueError(f"signature does not fit instance {params.name}")
-    return (_header(KIND_SIGNATURE, params) + sigma.words
-            + struct.pack("<Q", sig.theta_star))
+    return _encode(KIND_SIGNATURE, params,
+                   np.frombuffer(sigma.words, "<u8"), sig.theta_star)
 
 
 def decode_signature(data: bytes) -> tuple[Signature, SysParams]:
-    prm = _parse_header(data, KIND_SIGNATURE)
-    expected = 6 + signature_bytes(prm)
-    if len(data) != expected:
-        raise FormatError(f"signature must be {expected} bytes, got {len(data)}")
-    end = expected - 8
+    rec, prm = _decode(data, KIND_SIGNATURE)
     try:
-        sigma = PackedVector(prm.n0, prm.p, bytes(data[6:end]))
+        sigma = PackedVector(prm.n0, prm.p, rec["sigma"].tobytes())
     except DimensionError:
         raise FormatError("coefficients set beyond x^(p-1)") from None
-    theta = struct.unpack("<Q", data[end:])[0]
-    return Signature(sigma, theta), prm
+    return Signature(sigma, int(rec["theta"])), prm
 
 
 # ---------------------------------------------------------------------------
-# private key, at rest (seed + B)
+# private key, at rest (seed + B) and expanded (factor representation)
 
 
-def _pack_bit_columns(m: np.ndarray) -> bytes:
+def _pack_bit_columns(m: np.ndarray) -> np.ndarray:
     """Each column of a 0/1 array as ceil(rows/8) little-endian bytes."""
-    return np.packbits(m.T, axis=1, bitorder="little").tobytes()
+    return np.packbits(m.T, axis=1, bitorder="little")
 
 
-def _unpack_bit_columns(data: bytes, rows: int, cols: int) -> np.ndarray:
-    nb = (rows + 7) // 8
-    if len(data) != nb * cols:
-        raise FormatError("bit-column payload has the wrong size")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(cols, nb)
+def _unpack_bit_columns(raw: np.ndarray, rows: int) -> np.ndarray:
     bits = np.unpackbits(raw, axis=1, bitorder="little")
     if bits[:, rows:].any():
         raise FormatError("bits set beyond the declared rows")
@@ -156,8 +177,8 @@ def _unpack_bit_columns(data: bytes, rows: int, cols: int) -> np.ndarray:
 
 
 def encode_private_key_at_rest(sk: PrivateKey) -> bytes:
-    return (_header(KIND_PRIVATE_AT_REST, sk.params)
-            + sk.seed + _pack_bit_columns(sk.q.b))
+    return _encode(KIND_PRIVATE_AT_REST, sk.params,
+                   np.frombuffer(sk.seed, "u1"), _pack_bit_columns(sk.q.b))
 
 
 def expand_private_key(data: bytes) -> tuple[PrivateKey, PublicKey]:
@@ -168,92 +189,59 @@ def expand_private_key(data: bytes) -> tuple[PrivateKey, PublicKey]:
 
 def expand_private_key_only(data: bytes) -> PrivateKey:
     """At-rest expansion without materializing the public matrix."""
-    prm = _parse_header(data, KIND_PRIVATE_AT_REST)
-    expected = 6 + private_key_at_rest_bytes(prm)
-    if len(data) != expected:
-        raise FormatError(f"at-rest key must be {expected} bytes, got {len(data)}")
-    seed = data[6:6 + prm.seed_bytes]
-    stored_b = _unpack_bit_columns(data[6 + prm.seed_bytes:], prm.r0, prm.z)
-    sk = private_key_from_seed(seed, prm)
+    rec, prm = _decode(data, KIND_PRIVATE_AT_REST)
+    stored_b = _unpack_bit_columns(rec["b"], prm.r0)
+    sk = private_key_from_seed(rec["seed"].tobytes(), prm)
     if not np.array_equal(sk.q.b, stored_b):
         raise IntegrityError("stored B does not match the seed expansion")
     return sk
 
 
-# ---------------------------------------------------------------------------
-# private key, expanded (factor representation)
-
-
 def encode_private_key_expanded(sk: PrivateKey) -> bytes:
-    prm = sk.params
+    prm, s, q = sk.params, sk.s, sk.q
     entries = np.empty(sk.v[0].shape, dtype=_V_ENTRY)
     entries["col"], entries["rot"] = sk.v
-    out = [_header(KIND_PRIVATE_EXPANDED, prm), sk.seed, entries.tobytes()]
-    s = sk.s
-    out.append(struct.pack(f"<{prm.n0}I", *s.lam_rots))
-    out.append(struct.pack(f"<{prm.n0}I", *s.phi_rots))
-    out.append(struct.pack(f"<{prm.n0}H", *s.perm1))
-    out.append(struct.pack(f"<{prm.n0}H", *s.perm2))
-    out.append(s.e_poly.to_bytes((prm.n0 + 7) // 8, "little"))
-    q = sk.q
-    out.append(struct.pack(f"<{prm.r0}H", *q.perm))
-    out.append(struct.pack(f"<{prm.r0}I", *q.psi_rots))
-    out.append(_pack_bit_columns(q.a))
-    out.append(_pack_bit_columns(q.b))
-    return b"".join(out)
+    e = np.frombuffer(s.e_poly.to_bytes((prm.n0 + 7) // 8, "little"), np.uint8)
+    return _encode(KIND_PRIVATE_EXPANDED, prm, np.frombuffer(sk.seed, "u1"),
+                   entries, s.lam_rots, s.phi_rots, s.perm1, s.perm2, e,
+                   q.perm, q.psi_rots, *map(_pack_bit_columns, (q.a, q.b)))
 
 
 def decode_private_key_expanded(data: bytes) -> PrivateKey:
-    prm = _parse_header(data, KIND_PRIVATE_EXPANDED)
-    off = 6
+    rec, prm = _decode(data, KIND_PRIVATE_EXPANDED)
     n0, r0, p = prm.n0, prm.r0, prm.p
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError("truncated expanded key")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    seed = take(prm.seed_bytes)
-    shape = (prm.k0, prm.w_g - 1)
-    raw = take(_V_ENTRY.itemsize * shape[0] * shape[1])
-    entries = np.frombuffer(raw, dtype=_V_ENTRY).reshape(shape)
-    cols, rots = sort_v_rows(entries["col"], entries["rot"])
+    cols, rots = sort_v_rows(rec["v"]["col"], rec["v"]["rot"])
     if ((cols >= r0).any() or (rots >= p).any()
             or (np.diff(cols, axis=1) == 0).any()):
         raise FormatError("invalid sparse row entry")
-
-    lam = struct.unpack(f"<{n0}I", take(4 * n0))
-    phi = struct.unpack(f"<{n0}I", take(4 * n0))
-    perm1 = struct.unpack(f"<{n0}H", take(2 * n0))
-    perm2 = struct.unpack(f"<{n0}H", take(2 * n0))
-    e_poly = int.from_bytes(take((n0 + 7) // 8), "little")
+    e_poly = int.from_bytes(rec["e"].tobytes(), "little")
     if e_poly >> n0 or e_poly.bit_count() != prm.m_S:
         raise FormatError("invalid scrambler polynomial")
-    s = SFactors(lam, phi, perm1, perm2, e_poly, inverse_int(e_poly, n0))
-
-    perm = struct.unpack(f"<{r0}H", take(2 * r0))
-    psi = struct.unpack(f"<{r0}I", take(4 * r0))
-    colbytes = ((r0 + 7) // 8) * prm.z
-    a = _unpack_bit_columns(take(colbytes), r0, prm.z)
-    b = _unpack_bit_columns(take(colbytes), r0, prm.z)
-    if off != len(data):
-        raise FormatError("trailing bytes after expanded key")
-    for pm in (perm1, perm2):
-        if sorted(pm) != list(range(n0)):
+    lam, phi, perm1, perm2, perm, psi = (
+        rec[f].astype(np.int64)
+        for f in ("lam", "phi", "perm1", "perm2", "perm", "psi"))
+    for pm, size in ((perm1, n0), (perm2, n0), (perm, r0)):
+        if not np.array_equal(np.sort(pm), np.arange(size)):
             raise FormatError("invalid permutation")
-    if sorted(perm) != list(range(r0)):
-        raise FormatError("invalid permutation")
-    if any(x >= p for x in lam + phi + psi):
+    if max(lam.max(), phi.max(), psi.max()) >= p:
         raise FormatError("rotation exponent out of range")
+    a = _unpack_bit_columns(rec["a"], r0)
+    b = _unpack_bit_columns(rec["b"], r0)
     try:
         d_inv = dense_invert(compute_d(prm, perm, a, b))
     except Singular:
         raise FormatError("A and B give a singular D") from None
+    s = SFactors(lam, phi, perm1, perm2, e_poly, inverse_int(e_poly, n0))
     q = QFactors(perm, psi, a, b, d_inv)
-    return PrivateKey(params=prm, seed=seed, v=(cols, rots), s=s, q=q)
+    return PrivateKey(params=prm, seed=rec["seed"].tobytes(), v=(cols, rots),
+                      s=s, q=q)
+
+
+def decode_private_key(data: bytes) -> PrivateKey:
+    """A private key from either encoding: expanded, or at rest."""
+    if len(data) >= 5 and data[4] == KIND_PRIVATE_EXPANDED:
+        return decode_private_key_expanded(data)
+    return expand_private_key_only(data)
 
 
 # ---------------------------------------------------------------------------

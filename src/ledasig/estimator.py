@@ -290,8 +290,8 @@ def key_recovery_target(params: SysParams, quantum: bool = True) -> IsdTarget:
 
 
 def unique_decoding_radius(params: SysParams) -> int:
-    """Half the public-code minimum-distance estimate w_g * m_S."""
-    return params.w * params.m_S + (params.m_S - 1) // 2
+    """Half the public-code minimum-distance estimate w_g*m_S, rounded down."""
+    return (params.w_g * params.m_S - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +466,12 @@ def sia_wf(params: SysParams) -> SiaEstimate:
     is taken: an unconstrained-position final step, or a final step that
     re-finds previously located positions.
     """
-    d_b = params.z
+    if params.z > params.w:
+        raise ValueError(f"SIA needs z <= w, got z={params.z}, w={params.w}")
     rows = _codeword_row_parities(params)
     bits = {w_l: _bit_probabilities(params, w_l, rows)
-            for w_l in range(d_b, params.w + 1)}
-    best = (math.inf, 2, d_b)
+            for w_l in range(params.z, params.w + 1)}
+    best = (math.inf, 2, params.z)
     for ell in range(2, _SIA_MAX_COLLECTED + 1):
         for w_l, (_, p_i, _, p_j) in bits.items():
             p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_l, p_i, p_j)
@@ -746,7 +747,8 @@ class AttackReport:
     lca_detail: LcaEstimate
     da_stern: SternParams
     kra_stern: SternParams
-    classical_is_approximate: bool = True
+    # the classical columns are bjmm_approx_wf's rate-only shortcut
+    classical_is_approximate = True
 
     @property
     def min_wf_log2(self) -> float:
@@ -789,11 +791,11 @@ def full_report(params: SysParams, security_exponent: float | None = None
                 ) -> AttackReport:
     lam = (params.security_level if security_exponent is None
            else security_exponent)
+    if params.m_S * params.w > unique_decoding_radius(params):
+        raise ValueError("decoding target outside the unique-decoding radius")
     space = signature_space(params)
     sia = sia_wf(params)
     lca = lca_wf(params)
-    if params.m_S * params.w > unique_decoding_radius(params):
-        raise ValueError("decoding target outside the unique-decoding radius")
     wf_da, sp_da = quantum_stern_wf(decoding_attack_target(params))
     wf_kra, sp_kra = quantum_stern_wf(key_recovery_target(params))
     lifetime, lifetime_qc = stat_lifetime(params, lam)

@@ -11,9 +11,10 @@ where D = I_z + B^T Pi^T A for odd p and D = I_z for even p.
 Each factor has one array form, shared by signing, build_public_key and
 both private-key codecs.  V, a k0 x r0 grid with w_g - 1 circulant
 permutations x^t per block row, is the pair (cols, rots) of (k0, w_g - 1)
-int64 arrays, columns ascending in each row.  A and B are (r0, z) and
-D^-1 is (z, z) 0/1 uint8 arrays, so D, the rank-z mask K and the
-signer's kernel test are small matrix products.
+int64 arrays, columns ascending in each row.  The permutations and
+rotations of S and Q are int64 arrays too, inverted by np.argsort.  A and
+B are (r0, z) and D^-1 is (z, z) 0/1 uint8 arrays, so D, the rank-z mask
+K and the signer's kernel test are small matrix products.
 
 The sparse quasi-cyclic operators V, M and S are each one (blocks, rots)
 table, applied by qc.qc_map.  S is the three factors composed once per
@@ -40,32 +41,29 @@ from .drbg import Xof
 from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
-from .qc import (PackedVector, dense_invert, inverse_int, invert_perm,
-                 odd_bits, pack_blocks, padding_clear, qc_map)
+from .qc import (PackedVector, dense_invert, inverse_int, odd_bits,
+                 pack_blocks, padding_clear, qc_map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SFactors:
     """Factors of the row/column scrambler S (all sizes over n0 blocks)."""
 
-    lam_rots: tuple[int, ...]
-    phi_rots: tuple[int, ...]
-    perm1: tuple[int, ...]
-    perm2: tuple[int, ...]
+    lam_rots: np.ndarray       # (n0,) int64, like the next three
+    phi_rots: np.ndarray
+    perm1: np.ndarray
+    perm2: np.ndarray
     e_poly: int
     e_inv: int
 
 
 @dataclass(frozen=True, eq=False)
 class QFactors:
-    """Factors of the syndrome scrambler Q (all sizes over r0 blocks).
+    """Factors of the syndrome scrambler Q (all sizes over r0 blocks)."""
 
-    a, b and d_inv are 0/1 uint8 arrays; PrivateKey compares them.
-    """
-
-    perm: tuple[int, ...]
-    psi_rots: tuple[int, ...]
-    a: np.ndarray              # (r0, z)
+    perm: np.ndarray           # (r0,) int64, like psi_rots
+    psi_rots: np.ndarray
+    a: np.ndarray              # (r0, z) 0/1 uint8, like b and d_inv
     b: np.ndarray              # (r0, z)
     d_inv: np.ndarray          # (z, z)
 
@@ -84,15 +82,14 @@ class PrivateKey:
     s: SFactors
     q: QFactors
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (*self.v, self.q.a, self.q.b, self.q.d_inv)
+    def _arrays(self) -> tuple:
+        s, q = self.s, self.q
+        return (*self.v, s.lam_rots, s.phi_rots, s.perm1, s.perm2, s.e_poly,
+                s.e_inv, q.perm, q.psi_rots, q.a, q.b, q.d_inv)
 
     def __eq__(self, other):
         return (isinstance(other, PrivateKey)
-                and (self.params, self.seed, self.s, self.q.perm,
-                     self.q.psi_rots)
-                == (other.params, other.seed, other.s, other.q.perm,
-                    other.q.psi_rots)
+                and (self.params, self.seed) == (other.params, other.seed)
                 and all(map(np.array_equal, self._arrays(), other._arrays())))
 
     @cached_property
@@ -107,9 +104,8 @@ class PrivateKey:
         P[i][j] = 1 iff j = perm[i], so block b goes to perm^-1[b],
         rotated by -psi[b].
         """
-        q = self.q
-        return (np.array(invert_perm(q.perm))[:, None],
-                (-np.array(q.psi_rots)[:, None]) % self.params.p)
+        perm, psi = self.q.perm, self.q.psi_rots
+        return np.argsort(perm)[:, None], -psi[:, None] % self.params.p
 
 
 @dataclass(eq=False)
@@ -173,13 +169,11 @@ def gen_s(params: SysParams, xof: Xof) -> SFactors:
             # unreachable when ord_{n0}(2) = n0 - 1 and m_S is odd
             continue
         break
-    perm1 = tuple(xof.permutation(n0))
-    perm2 = tuple(xof.permutation(n0))
-    lam, phi = [], []
-    for _ in range(n0):
-        lam.append(xof.rotation(params.p))
-        phi.append(xof.rotation(params.p))
-    return SFactors(tuple(lam), tuple(phi), perm1, perm2, e_poly, e_inv)
+    perm1 = np.array(xof.permutation(n0))
+    perm2 = np.array(xof.permutation(n0))
+    # one (lambda, phi) pair per block, in stream order
+    rots = np.array([xof.rotation(params.p) for _ in range(2 * n0)])
+    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e_poly, e_inv)
 
 
 def compute_d(params: SysParams, perm, a: np.ndarray,
@@ -191,20 +185,20 @@ def compute_d(params: SysParams, perm, a: np.ndarray,
     eye = np.eye(params.z, dtype=np.uint8)
     if params.p % 2 == 0:
         return eye
-    return (eye + b.T @ a[invert_perm(perm)]) & 1
+    return (eye + b.T @ a[np.argsort(perm)]) & 1
 
 
 def gen_q(params: SysParams, xof: Xof) -> QFactors:
     r0, z, p = params.r0, params.z, params.p
     while True:
-        perm = tuple(xof.permutation(r0))
+        perm = np.array(xof.permutation(r0))
         a = xof.bit_matrix(r0, z)
         b = xof.bit_matrix(r0, z)
         try:
             d_inv = dense_invert(compute_d(params, perm, a, b))
         except Singular:
             continue
-        psi = tuple(xof.rotation(p) for _ in range(r0))
+        psi = np.array([xof.rotation(p) for _ in range(r0)])
         return QFactors(perm, psi, a, b, d_inv)
 
 
@@ -227,10 +221,8 @@ def scrambler_map(sk: PrivateKey,
     product is one table with a column per shift.
     """
     s, p, n0 = sk.s, sk.params.p, sk.params.n0
-    inv1 = np.array(invert_perm(s.perm1))
-    inv2 = np.array(invert_perm(s.perm2))
-    blocks = inv1[(inv2[:, None] - shifts) % n0]
-    rots = (-np.array(s.phi_rots)[:, None] - np.array(s.lam_rots)[blocks]) % p
+    blocks = np.argsort(s.perm1)[(np.argsort(s.perm2)[:, None] - shifts) % n0]
+    rots = (-s.phi_rots[:, None] - s.lam_rots[blocks]) % p
     return blocks, rots
 
 
@@ -246,7 +238,7 @@ def apply_s(sk: PrivateKey, pos: np.ndarray) -> PackedVector:
 
 def q_correction_mask(q: QFactors) -> np.ndarray:
     """Dense r0 x r0 matrix K = Pi^T A D^-1 B^T Pi^T of the rank-z term."""
-    return (q.a[invert_perm(q.perm)] @ q.d_inv @ q.b[list(q.perm)].T) & 1
+    return (q.a[np.argsort(q.perm)] @ q.d_inv @ q.b[q.perm].T) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,7 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     ones = ((flags @ incidence) & 1).astype(bool)
 
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
-    for i, ki in enumerate(invert_perm(sk.q.perm)):
+    for i, ki in enumerate(np.argsort(sk.q.perm)):
         # first row of block row i of M^T H: one coefficient per block
         rot = -sk.q.psi_rots[i]
         rows, slots = np.nonzero(cols == ki)

@@ -55,6 +55,12 @@ class SysParams:
                     f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n0 <= self.r0:
             raise ValueError("n0 must exceed r0")
+        # C(r, w) and C(k, m_g) must exist, and R = A.B^T stay below rank r0
+        for name, bound, size in (("z", "r0 - 1", self.r0 - 1),
+                                  ("w", "r", self.r), ("m_g", "k", self.k)):
+            if getattr(self, name) > size:
+                raise ValueError(f"{name} must be at most {bound} = {size}, "
+                                 f"got {getattr(self, name)}")
         if self.strict:
             if not (_is_prime(self.p) and _is_prime(self.r0)):
                 raise ValueError("p and r0 must be prime")
@@ -64,8 +70,6 @@ class SysParams:
                 raise ValueError("w_g must equal 2*w + 1")
             if self.p * (2 * self.w + 1) >= self.r:
                 raise ValueError("p must be below r/(2w+1)")
-            if not (0 < self.z < self.r0):
-                raise ValueError("z must be in (0, r0)")
         if self.w_g - 1 > self.r0:
             raise ValueError("w_g - 1 block columns must fit in r0")
         if self.m_S % 2 == 0:

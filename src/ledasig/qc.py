@@ -220,15 +220,7 @@ def dense_invert(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# permutations and sparse quasi-cyclic operators
-
-
-def invert_perm(perm) -> list[int]:
-    """The inverse permutation: inv[perm[i]] = i."""
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
+# sparse quasi-cyclic operators
 
 
 def qc_map(table: tuple[np.ndarray, np.ndarray], pos: np.ndarray,

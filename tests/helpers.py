@@ -28,7 +28,7 @@ from ledasig.estimator import (NEG_INF, _lb, _log2_pow_diff, _safe_log2,
                                log2_sum)
 from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
                             q_correction_mask)
-from ledasig.qc import SparseVector, inverse_int, invert_perm, qc_map
+from ledasig.qc import SparseVector, inverse_int, qc_map
 
 
 def toy_private_key(prm, seed: bytes) -> PrivateKey:
@@ -36,6 +36,14 @@ def toy_private_key(prm, seed: bytes) -> PrivateKey:
     xof = Xof(seed)
     return PrivateKey(params=prm, seed=bytes(seed), v=gen_v(prm, xof),
                       s=gen_s(prm, xof), q=gen_q(prm, xof))
+
+
+def invert_perm(perm) -> list[int]:
+    """The inverse permutation: inv[perm[i]] = i."""
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
 
 
 def sparse_from_int(v: int, length: int) -> SparseVector:

@@ -229,6 +229,18 @@ def test_criterion_4_classical_columns(reports):
     assert ok
 
 
+def test_grover_forgery_margin_only_on_greek_instances(reports):
+    # granting SIA and LCA a full Grover square root, only the Greek-letter
+    # instances stay above lambda (demos/security_report.py says so)
+    reps, _ = reports
+    assert ({name for name, rep in reps.items() if rep.passes_grover_forgery}
+            == {"alpha3", "beta3", "gamma3"})
+    half_sia = {name: round(rep.wf_sia_log2 / 2, 2)
+                for name, rep in reps.items()}
+    assert [half_sia[n] for n in ("alpha3", "beta3", "gamma3", "a3")] == [
+        132.42, 197.43, 258.83, 76.21]
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: serialization sizes
 

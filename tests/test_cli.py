@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ledasig import encode_private_key_expanded
 from ledasig.cli import main
+from ledasig.codec import expand_private_key_only
 
 SEED_HEX = "00112233445566778899aabbccddeeff" * 2
 
@@ -80,6 +82,20 @@ def test_verify_truncated_signature(keyfiles, tmp_path):
     assert rc == 4
 
 
+def test_sign_with_expanded_key_file(keyfiles, tmp_path, capsys):
+    # sign reads either private-key encoding; the codec tells them apart
+    _, prefix, msg, _ = keyfiles
+    with open(prefix + ".sk", "rb") as fh:
+        sk = expand_private_key_only(fh.read())
+    expanded, sig = tmp_path / "key.skx", tmp_path / "msg.sig"
+    expanded.write_bytes(encode_private_key_expanded(sk))
+    assert main(["sign", "--sk", str(expanded), "--message-file", str(msg),
+                 "--out", str(sig)]) == 0
+    assert main(["verify", "--pk", prefix + ".pk", "--message-file",
+                 str(msg), "--sig", str(sig)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "ACCEPT"
+
+
 def test_verify_missing_file(keyfiles):
     _, prefix, msg, sig = keyfiles
     rc = main(["verify", "--pk", prefix + ".pk", "--message-file",
@@ -111,10 +127,11 @@ def test_estimate_custom_params_echo(capsys):
 
 @pytest.mark.parametrize("extra", [
     "foo=1", "m_T=4", "category=2", "n0=0", "r0=0", "p=0", "z=0",
-    "m_S=-1", "w=0", "w_g=0", "m_g=0"])
+    "m_S=-1", "w=0", "w_g=0", "m_g=0", "w=500", "m_g=9999", "z=13", "z=5"])
 def test_estimate_bad_custom_params_are_usage_errors(capsys, extra):
-    # an unknown key, a category outside {1, 3, 5} or a count below 1 is a
-    # bad argument, and the error names it
+    # an unknown key, a category outside {1, 3, 5}, a count below 1, w above
+    # r, m_g above k, z at r0 or z above w (no SIA w_L range) is a bad
+    # argument, and the error names it
     rc = main(["estimate", "--params",
                "n0=29,r0=13,p=13,z=2,m_S=3,w=3,w_g=7,m_g=2," + extra])
     assert rc == 2
@@ -132,6 +149,14 @@ def test_estimate_jsonl_when_lca_is_weakest(capsys):
     assert row["wf_lca"] < min(row["wf_sia"], row["wf_da_pq"],
                                row["wf_kra_pq"])
     assert row["pass"] is False
+
+
+def test_estimate_target_beyond_unique_decoding_radius(capsys):
+    # w_g = 3, m_S = 3: the radius is 4, below the target weight m_S*w = 6
+    rc = main(["estimate", "--params",
+               "n0=29,r0=13,p=31,z=2,m_S=3,w=2,w_g=3,m_g=1"])
+    assert rc == 2
+    assert "unique-decoding radius" in capsys.readouterr().err
 
 
 def test_estimate_requires_target():

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import invert_perm
 from ledasig import (decode_private_key_expanded, decode_public_key,
                      decode_signature, encode_private_key_at_rest,
                      encode_private_key_expanded, encode_public_key,
                      encode_signature, expand_private_key,
                      private_key_at_rest_bytes, public_key_bytes,
                      signature_bytes, verify)
-from ledasig.codec import expand_private_key_only, write_file
+from ledasig.codec import (expand_private_key_only,
+                           private_key_expanded_bytes, write_file)
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError, FormatError, IntegrityError
-from ledasig.keygen import private_key_from_seed
+from ledasig.keygen import keypair_from_seed, private_key_from_seed
 from ledasig.params import INSTANCE_IDS, INSTANCES, get_instance
-from ledasig.qc import PackedVector, invert_perm
+from ledasig.qc import PackedVector
 from ledasig.signer import sign
 
 # published payload sizes in kiB (public key, signature)
@@ -191,6 +193,25 @@ def test_signature_blob_roundtrip(name):
         assert back_prm == prm
         assert sig.sigma.weight == len(sig.sigma.support)
         assert encode_signature(sig, prm) == blob
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_every_kind_round_trips_at_its_size(name):
+    prm = get_instance(name)
+    sk, pk = keypair_from_seed(bytes(range(prm.seed_bytes)), prm)
+    sig = sign(sk, b"shape", rng=Xof(b"shape"))
+    kinds = [
+        (encode_public_key(pk), public_key_bytes, decode_public_key, pk),
+        (encode_signature(sig, prm), signature_bytes, decode_signature,
+         (sig, prm)),
+        (encode_private_key_at_rest(sk), private_key_at_rest_bytes,
+         expand_private_key, (sk, pk)),
+        (encode_private_key_expanded(sk), private_key_expanded_bytes,
+         decode_private_key_expanded, sk),
+    ]
+    for blob, size, decode, obj in kinds:
+        assert len(blob) == 6 + size(prm)
+        assert decode(blob) == obj
 
 
 def test_at_rest_roundtrip(a3_key):

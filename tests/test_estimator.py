@@ -255,9 +255,20 @@ def test_bjmm_a6_example():
 
 
 def test_unique_decoding_radius_covers_targets():
-    for name in ("a3", "c6"):
-        prm = get_instance(name)
+    for prm in INSTANCES.values():
         assert prm.m_S * prm.w <= unique_decoding_radius(prm)
+        # w_g = 2w + 1 on every instance, so floor((w_g*m_S - 1)/2) is
+        # m_S*w + (m_S - 1)/2
+        assert (unique_decoding_radius(prm)
+                == prm.m_S * prm.w + (prm.m_S - 1) // 2)
+    # a light generator row lowers the radius below the target
+    prm = toy_params("toy29w", w_g=3)
+    assert unique_decoding_radius(prm) == 4 < prm.m_S * prm.w
+
+
+def test_sia_needs_z_at_most_w():
+    with pytest.raises(ValueError, match="z=5, w=2"):
+        sia_wf(toy_params("toy29w", z=5))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import pytest
 
 from helpers import (dense_eye, dense_mul, dense_transpose, dense_vec_mul,
                      g_dense, genperm_dense, genperm_transpose, h_dense,
-                     invert_q, invert_s, kron_blockmix_apply, m_perm,
-                     pi_lambda, pi_phi, q_dense, q_inv_dense, s_dense,
-                     s_inv_dense, support_to_int, table_dense,
+                     invert_perm, invert_q, invert_s, kron_blockmix_apply,
+                     m_perm, pi_lambda, pi_phi, q_dense, q_inv_dense,
+                     s_dense, s_inv_dense, support_to_int, table_dense,
                      toy_private_key, transpose_int, v_qc, words_to_qc)
 from ledasig import keypair_from_seed, toy_params
 from ledasig.drbg import Xof
@@ -13,7 +13,6 @@ from ledasig.keygen import (PrivateKey, _support, apply_s, build_public_key,
                             compute_d, gen_v, q_correction_mask,
                             scrambler_map)
 from ledasig.params import get_instance
-from ledasig.qc import invert_perm
 
 
 def _assert_v_rows(v, prm):
@@ -233,9 +232,9 @@ def test_public_key_trivial_factors():
     sk = PrivateKey(
         params=prm, seed=b"",
         v=(no_v, no_v),
-        s=SFactors((0,) * n0, (0,) * n0, tuple(range(n0)), tuple(range(n0)),
-                   1, 1),
-        q=QFactors(tuple(range(r0)), (0,) * r0,
+        s=SFactors(np.zeros(n0, np.int64), np.zeros(n0, np.int64),
+                   np.arange(n0), np.arange(n0), 1, 1),
+        q=QFactors(np.arange(r0), np.zeros(r0, np.int64),
                    np.zeros((r0, 1), dtype=np.uint8),
                    np.zeros((r0, 1), dtype=np.uint8),
                    np.eye(1, dtype=np.uint8)))

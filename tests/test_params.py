@@ -1,7 +1,10 @@
 import pytest
 
 from ledasig import toy_params
-from ledasig.params import _is_prime
+from ledasig.params import SysParams, _is_prime
+
+# toy29w's fields, which also meet the strict rules
+TOY29W = dict(n0=29, r0=13, p=31, z=2, m_S=3, w=2, w_g=5, m_g=1)
 
 
 def _sieve(n: int) -> list[bool]:
@@ -26,3 +29,14 @@ def test_is_prime_matches_sieve():
 def test_counts_below_one_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
         toy_params("toy29", **{field: value})
+
+
+@pytest.mark.parametrize("field, value, bound", [
+    ("z", 13, "r0 - 1 = 12"), ("w", 404, "r = 403"), ("m_g", 497, "k = 496")],
+    ids=["z", "w", "m_g"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_counts_above_their_range_are_rejected(field, value, bound, strict):
+    # C(r, w) and C(k, m_g) must exist, and z must stay below r0
+    with pytest.raises(ValueError, match=f"^{field} must be at most {bound}"):
+        SysParams(name="x", category=1, strict=strict,
+                  **{**TOY29W, field: value})
