@@ -14,7 +14,6 @@ import sys
 from . import codec
 from .drbg import fresh_xof
 from .errors import FormatError, LedasigError
-from .estimator import full_report, render_table
 from .keygen import keypair_from_seed
 from .params import INSTANCES, SysParams, get_instance
 from .signer import sign
@@ -104,6 +103,9 @@ def _params_from_spec(spec: str) -> SysParams:
 
 
 def cmd_estimate(args) -> int:
+    # the estimator pulls in scipy, which the other commands never use
+    from .estimator import full_report, render_table
+
     lam = args.security_exponent
     if args.all:
         targets = list(INSTANCES.values())

@@ -4,6 +4,12 @@ All key material is derived from a single SHAKE-256 stream keyed by the
 seed, read strictly left to right.  The sampler call order is therefore
 part of the key format: replaying the same seed reproduces the same key
 bit for bit.
+
+Every bounded draw goes through Xof.below_each, the one rejection
+sampler.  A draw below b reads 64-bit little-endian words until one is
+below the largest multiple of b that fits in 2^64, and returns that
+word mod b.  below_each serves a whole sequence of such draws from one
+read, so its bounds must be known before the first word is read.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ import hashlib
 import os
 
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
 
 
 class Xof:
@@ -38,31 +42,57 @@ class Xof:
     def u64(self) -> int:
         return int.from_bytes(self.bytes(8), "little")
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by 64-bit rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = ((1 << 64) // bound) * bound
-        while True:
-            u = self.u64()
-            if u < threshold:
-                return u % bound
+    def _words(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.bytes(8 * count), dtype="<u8")
 
-    def distinct(self, x: int, y: int) -> list[int]:
-        """y distinct integers from {0, .., x-1} (partial Fisher-Yates)."""
+    def below_each(self, bounds) -> np.ndarray:
+        """One uniform draw from [0, b) per bound b, in order, as int64.
+
+        The draws read the same words as drawing one bound at a time
+        with 64-bit rejection sampling.  bounds is an integer array with
+        every entry in [1, 2^63].
+        """
+        b = np.asarray(bounds)
+        if b.dtype.kind not in "iu":
+            raise ValueError("bounds must be an integer array")
+        # as uint64, a bound below 1 wraps to 2^63 or above, where only
+        # an unsigned 2^63 itself is valid
+        top_bound = (1 << 63) - (b.dtype.kind == "i")
+        b = b.astype(np.uint64).ravel()
+        if np.count_nonzero(b - 1 >= top_bound):
+            raise ValueError("every bound must lie in [1, 2^63]")
+        words = self._words(b.size)
+        while True:
+            # word u is accepted when u < (2^64 // b) * b, that is when its
+            # run of b values from u - u % b on ends below 2^64: u - u % b
+            # is at most 2^64 - b, which is -b in uint64.  The threshold
+            # itself would not fit in uint64 for b a power of two.
+            rest = words % b
+            rejected = words - rest > -b
+            if not np.count_nonzero(rejected):
+                return rest.astype(np.int64)
+            # the first rejected word is spent; the words already read
+            # after it, and one more, serve the draws from there on
+            k = int(rejected.argmax())
+            words = np.concatenate((words[:k], words[k + 1:], self._words(1)))
+
+    def distinct(self, x: int, y: int) -> np.ndarray:
+        """y distinct integers from {0, .., x-1} (partial Fisher-Yates).
+
+        Only the touched positions are held, so x may be large.
+        """
         if y > x:
             raise ValueError("cannot draw more values than the range holds")
         swapped: dict[int, int] = {}
         out = []
-        for i in range(y):
-            j = i + self.below(x - i)
-            vi = swapped.get(i, i)
-            vj = swapped.get(j, j)
-            out.append(vj)
-            swapped[j] = vi
-        return out
+        steps = self.below_each(np.arange(x, x - y, -1)).tolist()
+        for i, step in enumerate(steps):
+            j = i + step
+            out.append(swapped.get(j, j))
+            swapped[j] = swapped.get(i, i)
+        return np.array(out, dtype=np.int64)
 
-    def permutation(self, x: int) -> list[int]:
+    def permutation(self, x: int) -> np.ndarray:
         """Uniform permutation of {0, .., x-1}."""
         return self.distinct(x, x)
 
@@ -79,14 +109,26 @@ class Xof:
 
     def sparse_poly(self, p: int, weight: int) -> int:
         """Random polynomial mod x^p + 1 with the given coefficient count."""
-        v = 0
-        for pos in self.distinct(p, weight):
-            v |= 1 << pos
-        return v
+        return sum(1 << pos for pos in self.distinct(p, weight).tolist())
 
-    def rotation(self, p: int) -> int:
-        """Exponent t of a random circulant permutation x^t."""
-        return self.below(p)
+
+def shuffle_rows(x: int, steps: np.ndarray) -> np.ndarray:
+    """Partial Fisher-Yates over {0, .., x-1}, one per row, all rows at once.
+
+    steps is a (rows, y) int64 array with steps[:, i] in [0, x - i).  Slot
+    i of a row swaps position i with position i + steps[:, i] and outputs
+    the value that lands at i, as Xof.distinct does for one row.  Each row
+    holds all x positions, so this is for many rows over a small range.
+    """
+    rows, y = steps.shape
+    perm = np.tile(np.arange(x), (rows, 1))
+    row = np.arange(rows)
+    targets = np.ascontiguousarray((np.arange(y) + steps).T)
+    out = np.empty((y, rows), dtype=np.int64)
+    for i in range(y):
+        out[i] = perm[row, targets[i]]
+        perm[row, targets[i]] = perm[:, i]
+    return out.T
 
 
 def fresh_xof() -> Xof:

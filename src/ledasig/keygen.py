@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .drbg import Xof
+from .drbg import Xof, shuffle_rows
 from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
@@ -140,15 +140,15 @@ def gen_v(params: SysParams, xof: Xof) -> tuple[np.ndarray, np.ndarray]:
     """Sparse k0 x r0 grid with w_g - 1 circulant permutations per row.
 
     Each row draws its columns, then one rotation per column in draw
-    order; the row is then sorted by column.
+    order; the row is then sorted by column.  Every bound is known in
+    advance, so all rows are drawn in one read and shuffled together.
     """
-    shape = (params.k0, params.w_g - 1)
-    cols = np.empty(shape, dtype=np.int64)
-    rots = np.empty(shape, dtype=np.int64)
-    for i in range(params.k0):
-        cols[i] = xof.distinct(params.r0, params.w_g - 1)
-        rots[i] = [xof.rotation(params.p) for _ in range(shape[1])]
-    return sort_v_rows(cols, rots)
+    k0, r0, slots = params.k0, params.r0, params.w_g - 1
+    row_bounds = np.concatenate((r0 - np.arange(slots),
+                                 np.full(slots, params.p)))
+    draws = xof.below_each(np.tile(row_bounds, k0)).reshape(k0, 2 * slots)
+    return sort_v_rows(shuffle_rows(r0, draws[:, :slots]),
+                       draws[:, slots:])
 
 
 def sort_v_rows(cols: np.ndarray,
@@ -169,10 +169,10 @@ def gen_s(params: SysParams, xof: Xof) -> SFactors:
             # unreachable when ord_{n0}(2) = n0 - 1 and m_S is odd
             continue
         break
-    perm1 = np.array(xof.permutation(n0))
-    perm2 = np.array(xof.permutation(n0))
+    perm1 = xof.permutation(n0)
+    perm2 = xof.permutation(n0)
     # one (lambda, phi) pair per block, in stream order
-    rots = np.array([xof.rotation(params.p) for _ in range(2 * n0)])
+    rots = xof.below_each(np.full(2 * n0, params.p))
     return SFactors(rots[0::2], rots[1::2], perm1, perm2, e_poly, e_inv)
 
 
@@ -191,14 +191,14 @@ def compute_d(params: SysParams, perm, a: np.ndarray,
 def gen_q(params: SysParams, xof: Xof) -> QFactors:
     r0, z, p = params.r0, params.z, params.p
     while True:
-        perm = np.array(xof.permutation(r0))
+        perm = xof.permutation(r0)
         a = xof.bit_matrix(r0, z)
         b = xof.bit_matrix(r0, z)
         try:
             d_inv = dense_invert(compute_d(params, perm, a, b))
         except Singular:
             continue
-        psi = np.array([xof.rotation(p) for _ in range(r0)])
+        psi = xof.below_each(np.full(r0, p))
         return QFactors(perm, psi, a, b, d_inv)
 
 

@@ -44,12 +44,24 @@ class Signature:
             raise ValueError("theta must fit in 64 bits")
 
 
-def hash_digest(message: bytes, theta: int, params: SysParams) -> bytes:
-    """Category-matched digest of message || theta (8 bytes little-endian)."""
+def absorb_message(message: bytes, params: SysParams):
+    """The category's SHA-3 object with message absorbed, ready for salts."""
     h = _HASHES[params.category]()
     h.update(message)
+    return h
+
+
+def salted_digest(absorbed, theta: int) -> bytes:
+    """Digest of an absorbed message followed by theta (8 bytes
+    little-endian); absorbed itself is left as it was."""
+    h = absorbed.copy()
     h.update(int(theta).to_bytes(8, "little"))
     return h.digest()
+
+
+def hash_digest(message: bytes, theta: int, params: SysParams) -> bytes:
+    """Category-matched digest of message || theta (8 bytes little-endian)."""
+    return salted_digest(absorb_message(message, params), theta)
 
 
 def cw_encode(digest: bytes, length: int, weight: int) -> SparseVector:
@@ -108,7 +120,7 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
     target = prm.m_g * prm.w_g
     floor = codeword_weight_floor(prm)
     for _ in range(_CODEWORD_RETRY_CAP):
-        u = np.array(xof.distinct(k, prm.m_g), dtype=np.int64)
+        u = xof.distinct(k, prm.m_g)
         right = np.flatnonzero(odd_bits(qc_map(sk.v, u, p), r))
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
@@ -118,12 +130,15 @@ def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
 
 
 def gen_error(sk: PrivateKey, message: bytes, xof: Xof):
-    """Salt search: returns (theta_star, e support, syndrome s)."""
+    """Salt search: returns (theta_star, e support, syndrome s).
+
+    The message is hashed once; each salt trial adds theta to a copy.
+    """
     prm = sk.params
+    absorbed = absorb_message(message, prm)
     for _ in range(_THETA_ITER_CAP):
         theta = xof.u64()
-        digest = hash_digest(message, theta, prm)
-        s = cw_encode(digest, prm.r, prm.w)
+        s = cw_encode(salted_digest(absorbed, theta), prm.r, prm.w)
         if kernel_check(sk.q.b, s, prm.p):
             s_perm = qc_map(sk.m_map, np.asarray(s.support, dtype=np.int64),
                             prm.p)

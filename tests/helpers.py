@@ -12,9 +12,13 @@ the scalar AND / XOR weight-distribution loops that the estimator's array
 steps must reproduce bit for bit, the written-out parity-sum loops and
 SIA count tails that its single parity sums and _p_i_ge_j must reproduce
 bit for bit, and the full-range coincidence separation that its
-live-window sums must reproduce.
+live-window sums must reproduce.  So do the one-draw-at-a-time samplers
+and factor generators that the batched Xof.below_each, gen_v, gen_s and
+gen_q must match byte for byte, and a salt search that hashes the whole
+message on every trial.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -26,9 +30,11 @@ from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
 from ledasig.estimator import (NEG_INF, _lb, _log2_pow_diff, _safe_log2,
                                log2_sum)
-from ledasig.keygen import (PrivateKey, gen_q, gen_s, gen_v,
-                            q_correction_mask)
-from ledasig.qc import SparseVector, inverse_int, qc_map
+from ledasig.errors import NotInvertible, Singular
+from ledasig.keygen import (PrivateKey, QFactors, SFactors, compute_d, gen_q,
+                            gen_s, gen_v, q_correction_mask, sort_v_rows)
+from ledasig.qc import SparseVector, dense_invert, inverse_int, qc_map
+from ledasig.signer import cw_encode, kernel_check
 
 
 def toy_private_key(prm, seed: bytes) -> PrivateKey:
@@ -36,6 +42,89 @@ def toy_private_key(prm, seed: bytes) -> PrivateKey:
     xof = Xof(seed)
     return PrivateKey(params=prm, seed=bytes(seed), v=gen_v(prm, xof),
                       s=gen_s(prm, xof), q=gen_q(prm, xof))
+
+
+# ---------------------------------------------------------------------------
+# one draw at a time: the samplers and factor generators before batching
+
+
+def below(xof: Xof, bound: int) -> int:
+    """Uniform integer in [0, bound) by 64-bit rejection sampling."""
+    threshold = ((1 << 64) // bound) * bound
+    while True:
+        u = xof.u64()
+        if u < threshold:
+            return u % bound
+
+
+def distinct(xof: Xof, x: int, y: int) -> list[int]:
+    """y distinct integers from {0, .., x-1} (partial Fisher-Yates)."""
+    swapped: dict[int, int] = {}
+    out = []
+    for i in range(y):
+        j = i + below(xof, x - i)
+        vi = swapped.get(i, i)
+        out.append(swapped.get(j, j))
+        swapped[j] = vi
+    return out
+
+
+def gen_v_scalar(params, xof: Xof) -> tuple[np.ndarray, np.ndarray]:
+    """keygen.gen_v, one row and one draw at a time."""
+    shape = (params.k0, params.w_g - 1)
+    cols = np.empty(shape, dtype=np.int64)
+    rots = np.empty(shape, dtype=np.int64)
+    for i in range(params.k0):
+        cols[i] = distinct(xof, params.r0, params.w_g - 1)
+        rots[i] = [below(xof, params.p) for _ in range(shape[1])]
+    return sort_v_rows(cols, rots)
+
+
+def gen_s_scalar(params, xof: Xof) -> SFactors:
+    """keygen.gen_s, one draw at a time."""
+    n0 = params.n0
+    while True:
+        e_poly = support_to_int(distinct(xof, n0, params.m_S))
+        try:
+            e_inv = inverse_int(e_poly, n0)
+        except NotInvertible:
+            continue
+        break
+    perm1 = np.array(distinct(xof, n0, n0))
+    perm2 = np.array(distinct(xof, n0, n0))
+    rots = np.array([below(xof, params.p) for _ in range(2 * n0)])
+    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e_poly, e_inv)
+
+
+def gen_q_scalar(params, xof: Xof) -> QFactors:
+    """keygen.gen_q, one draw at a time."""
+    while True:
+        perm = np.array(distinct(xof, params.r0, params.r0))
+        a = xof.bit_matrix(params.r0, params.z)
+        b = xof.bit_matrix(params.r0, params.z)
+        try:
+            d_inv = dense_invert(compute_d(params, perm, a, b))
+        except Singular:
+            continue
+        psi = np.array([below(xof, params.p) for _ in range(params.r0)])
+        return QFactors(perm, psi, a, b, d_inv)
+
+
+_SHA3 = {1: hashlib.sha3_256, 3: hashlib.sha3_384, 5: hashlib.sha3_512}
+
+
+def gen_error_rehashing(sk: PrivateKey, message: bytes, xof: Xof):
+    """signer.gen_error hashing message || theta afresh for every salt,
+    with M applied through its GenPermutation; e's support comes sorted."""
+    prm = sk.params
+    while True:
+        theta = xof.u64()
+        digest = _SHA3[prm.category](
+            message + theta.to_bytes(8, "little")).digest()
+        s = cw_encode(digest, prm.r, prm.w)
+        if kernel_check(sk.q.b, s, prm.p):
+            pos = np.asarray(s.support, dtype=np.int64)
+            return theta, np.sort(m_perm(sk).apply(pos)) + prm.k, s
 
 
 def invert_perm(perm) -> list[int]:

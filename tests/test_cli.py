@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ledasig
 from ledasig import encode_private_key_expanded
 from ledasig.cli import main
 from ledasig.codec import expand_private_key_only
@@ -23,6 +27,17 @@ def keyfiles(tmp_path_factory):
                "--out", str(sig)])
     assert rc == 0
     return d, prefix, msg, sig
+
+
+def test_cli_import_loads_neither_estimator_nor_scipy():
+    # keygen, sign and verify start without paying for scipy's import
+    code = ("import sys, ledasig.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'ledasig.estimator'))")
+    src = os.path.dirname(os.path.dirname(ledasig.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_keygen_file_sizes(keyfiles):
@@ -127,11 +142,12 @@ def test_estimate_custom_params_echo(capsys):
 
 @pytest.mark.parametrize("extra", [
     "foo=1", "m_T=4", "category=2", "n0=0", "r0=0", "p=0", "z=0",
-    "m_S=-1", "w=0", "w_g=0", "m_g=0", "w=500", "m_g=9999", "z=13", "z=5"])
+    "m_S=-1", "w=0", "w_g=0", "m_g=0", "w=500", "m_g=9999", "z=13", "z=5",
+    "m_S=31"])
 def test_estimate_bad_custom_params_are_usage_errors(capsys, extra):
     # an unknown key, a category outside {1, 3, 5}, a count below 1, w above
-    # r, m_g above k, z at r0 or z above w (no SIA w_L range) is a bad
-    # argument, and the error names it
+    # r, m_g above k, z at r0, z above w (no SIA w_L range) or m_S above n0
+    # (no key) is a bad argument, and the error names it
     rc = main(["estimate", "--params",
                "n0=29,r0=13,p=13,z=2,m_S=3,w=3,w_g=7,m_g=2," + extra])
     assert rc == 2

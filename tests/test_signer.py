@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (dense_vec_mul, h_dense, kron_all_ones, sparse_from_int,
-                     support_to_int, toy_private_key)
+from helpers import (dense_vec_mul, gen_error_rehashing, h_dense,
+                     kron_all_ones, sparse_from_int, support_to_int,
+                     toy_private_key)
 from ledasig import toy_params
 from ledasig.drbg import Xof
+from ledasig.keygen import private_key_from_seed
 from ledasig.params import get_instance
 from ledasig.qc import PackedVector, SparseVector
 from ledasig.signer import (Signature, codeword_weight_floor,
@@ -167,6 +169,24 @@ def test_gen_error_weight_and_permutation(a3_key):
     assert len(e_sup) == A3.w
     assert s.weight == A3.w
     assert all(pos >= A3.k for pos in e_sup)
+
+
+_SALT_MESSAGES = {"empty": b"", "one byte": b"m",
+                  "64 KiB": bytes(range(256)) * 256,
+                  "1 MiB": hashlib.shake_256(b"1 MiB").digest(1 << 20)}
+
+
+@pytest.mark.parametrize("name", ["a3", "b6", "gamma3"])   # SHA3-256/384/512
+def test_gen_error_matches_rehashing_oracle(name):
+    prm = get_instance(name)
+    sk = private_key_from_seed(bytes(prm.seed_bytes), prm)
+    for label, msg in _SALT_MESSAGES.items():
+        xof, twin = Xof(label.encode()), Xof(label.encode())
+        theta, e_sup, s = gen_error(sk, msg, xof)
+        want_theta, want_e, want_s = gen_error_rehashing(sk, msg, twin)
+        assert (theta, s) == (want_theta, want_s), label
+        assert np.sort(e_sup).tolist() == want_e.tolist(), label
+        assert xof._pos == twin._pos
 
 
 def test_gen_error_expected_salt_trials(a3_key):
