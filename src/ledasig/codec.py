@@ -42,7 +42,7 @@ from .keygen import (PrivateKey, PublicKey, QFactors, SFactors,
                      build_public_key, compute_d, private_key_from_seed,
                      sort_v_rows)
 from .params import INSTANCE_IDS, INSTANCES, SysParams
-from .qc import PackedVector, dense_invert, inverse_int
+from .qc import PackedVector, dense_invert, inverse_shifts
 from .signer import Signature
 
 MAGIC = b"LSG1"
@@ -201,7 +201,7 @@ def encode_private_key_expanded(sk: PrivateKey) -> bytes:
     prm, s, q = sk.params, sk.s, sk.q
     entries = np.empty(sk.v[0].shape, dtype=_V_ENTRY)
     entries["col"], entries["rot"] = sk.v
-    e = np.frombuffer(s.e_poly.to_bytes((prm.n0 + 7) // 8, "little"), np.uint8)
+    e = np.packbits(np.isin(np.arange(prm.n0), s.e), bitorder="little")
     return _encode(KIND_PRIVATE_EXPANDED, prm, np.frombuffer(sk.seed, "u1"),
                    entries, s.lam_rots, s.phi_rots, s.perm1, s.perm2, e,
                    q.perm, q.psi_rots, *map(_pack_bit_columns, (q.a, q.b)))
@@ -214,8 +214,8 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
     if ((cols >= r0).any() or (rots >= p).any()
             or (np.diff(cols, axis=1) == 0).any()):
         raise FormatError("invalid sparse row entry")
-    e_poly = int.from_bytes(rec["e"].tobytes(), "little")
-    if e_poly >> n0 or e_poly.bit_count() != prm.m_S:
+    e = np.flatnonzero(np.unpackbits(rec["e"], bitorder="little"))
+    if len(e) != prm.m_S or e[-1] >= n0:
         raise FormatError("invalid scrambler polynomial")
     lam, phi, perm1, perm2, perm, psi = (
         rec[f].astype(np.int64)
@@ -231,7 +231,7 @@ def decode_private_key_expanded(data: bytes) -> PrivateKey:
         d_inv = dense_invert(compute_d(prm, perm, a, b))
     except Singular:
         raise FormatError("A and B give a singular D") from None
-    s = SFactors(lam, phi, perm1, perm2, e_poly, inverse_int(e_poly, n0))
+    s = SFactors(lam, phi, perm1, perm2, e, inverse_shifts(e, n0))
     q = QFactors(perm, psi, a, b, d_inv)
     return PrivateKey(params=prm, seed=rec["seed"].tobytes(), v=(cols, rots),
                       s=s, q=q)

@@ -83,14 +83,8 @@ class Xof:
         """
         if y > x:
             raise ValueError("cannot draw more values than the range holds")
-        swapped: dict[int, int] = {}
-        out = []
         steps = self.below_each(np.arange(x, x - y, -1)).tolist()
-        for i, step in enumerate(steps):
-            j = i + step
-            out.append(swapped.get(j, j))
-            swapped[j] = swapped.get(i, i)
-        return np.array(out, dtype=np.int64)
+        return np.array(fisher_yates(steps), dtype=np.int64)
 
     def permutation(self, x: int) -> np.ndarray:
         """Uniform permutation of {0, .., x-1}."""
@@ -107,9 +101,19 @@ class Xof:
         return np.unpackbits(raw.reshape(rows, nbytes), axis=1, count=cols,
                              bitorder="little")
 
-    def sparse_poly(self, p: int, weight: int) -> int:
-        """Random polynomial mod x^p + 1 with the given coefficient count."""
-        return sum(1 << pos for pos in self.distinct(p, weight).tolist())
+
+def fisher_yates(steps: list[int]) -> list[int]:
+    """Partial Fisher-Yates, the one shuffle of Xof.distinct and cw_encode:
+    slot i swaps position i with i + steps[i] and outputs the value that
+    lands at i.  Only the touched positions are held, so the range may be
+    large."""
+    swapped: dict[int, int] = {}
+    out = []
+    for i, step in enumerate(steps):
+        j = i + step
+        out.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return out
 
 
 def shuffle_rows(x: int, steps: np.ndarray) -> np.ndarray:
@@ -117,7 +121,7 @@ def shuffle_rows(x: int, steps: np.ndarray) -> np.ndarray:
 
     steps is a (rows, y) int64 array with steps[:, i] in [0, x - i).  Slot
     i of a row swaps position i with position i + steps[:, i] and outputs
-    the value that lands at i, as Xof.distinct does for one row.  Each row
+    the value that lands at i, as fisher_yates does for one row.  Each row
     holds all x positions, so this is for many rows over a small range.
     """
     rows, y = steps.shape

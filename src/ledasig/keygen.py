@@ -12,7 +12,8 @@ Each factor has one array form, shared by signing, build_public_key and
 both private-key codecs.  V, a k0 x r0 grid with w_g - 1 circulant
 permutations x^t per block row, is the pair (cols, rots) of (k0, w_g - 1)
 int64 arrays, columns ascending in each row.  The permutations and
-rotations of S and Q are int64 arrays too, inverted by np.argsort.  A and
+rotations of S and Q are int64 arrays too, inverted by np.argsort, and
+so are the ascending block shifts of the circulants E and E^-1.  A and
 B are (r0, z) and D^-1 is (z, z) 0/1 uint8 arrays, so D, the rank-z mask
 K and the signer's kernel test are small matrix products.
 
@@ -22,9 +23,9 @@ key into an (n0, m_S) table; signing applies it to sparse supports
 (apply_s) and packs S . x^T straight into the signature's wire layout.
 The public key needs S^-1 only through S^-T = PiLambda . (E^-T x I_p) .
 PiPhi, which has the shape of S, so build_public_key composes the same
-table with E^-T in place of E.  It packs each block row of H' straight
-into PublicKey.words, the key's wire payload and the one form it is held
-in.
+table with E^-T in place of E, and reads M^T off M's table.  It packs
+each block row of H' straight into PublicKey.words, the key's wire
+payload and the one form it is held in.
 
 Everything is derived deterministically from a seed: the sampler call
 order below is fixed and replaying a seed reproduces the key bit for bit.
@@ -41,7 +42,7 @@ from .drbg import Xof, shuffle_rows
 from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
-from .qc import (PackedVector, dense_invert, inverse_int, odd_bits,
+from .qc import (PackedVector, dense_invert, inverse_shifts, odd_bits,
                  pack_blocks, padding_clear, qc_map)
 
 
@@ -53,8 +54,8 @@ class SFactors:
     phi_rots: np.ndarray
     perm1: np.ndarray
     perm2: np.ndarray
-    e_poly: int
-    e_inv: int
+    e: np.ndarray              # (m_S,) ascending block shifts of E
+    e_inv: np.ndarray          # E^-1's block shifts, ascending
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,7 @@ class PrivateKey:
 
     def _arrays(self) -> tuple:
         s, q = self.s, self.q
-        return (*self.v, s.lam_rots, s.phi_rots, s.perm1, s.perm2, s.e_poly,
+        return (*self.v, s.lam_rots, s.phi_rots, s.perm1, s.perm2, s.e,
                 s.e_inv, q.perm, q.psi_rots, q.a, q.b, q.d_inv)
 
     def __eq__(self, other):
@@ -95,7 +96,7 @@ class PrivateKey:
     @cached_property
     def s_map(self) -> tuple[np.ndarray, np.ndarray]:
         """S as its (n0, m_S) (blocks, rots) table."""
-        return scrambler_map(self, _support(self.s.e_poly, self.params.n0))
+        return scrambler_map(self, self.s.e)
 
     @cached_property
     def m_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +163,18 @@ def sort_v_rows(cols: np.ndarray,
 def gen_s(params: SysParams, xof: Xof) -> SFactors:
     n0 = params.n0
     while True:
-        e_poly = xof.sparse_poly(n0, params.m_S)
+        e = np.sort(xof.distinct(n0, params.m_S))
         try:
-            e_inv = inverse_int(e_poly, n0)
+            e_inv = inverse_shifts(e, n0)
         except NotInvertible:
-            # unreachable when ord_{n0}(2) = n0 - 1 and m_S is odd
+            # unreachable when ord_{n0}(2) = n0 - 1, m_S is odd and m_S < n0
             continue
         break
     perm1 = xof.permutation(n0)
     perm2 = xof.permutation(n0)
     # one (lambda, phi) pair per block, in stream order
     rots = xof.below_each(np.full(2 * n0, params.p))
-    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e_poly, e_inv)
+    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e, e_inv)
 
 
 def compute_d(params: SysParams, perm, a: np.ndarray,
@@ -204,10 +205,6 @@ def gen_q(params: SysParams, xof: Xof) -> QFactors:
 
 # ---------------------------------------------------------------------------
 # the scrambler PiLambda . (C(e) x I_p) . PiPhi as one table
-
-
-def _support(poly: int, n: int) -> np.ndarray:
-    return np.array([d for d in range(n) if (poly >> d) & 1], dtype=np.int64)
 
 
 def scrambler_map(sk: PrivateKey,
@@ -251,14 +248,14 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     Row i of H' is S^-T applied to row i of Q^-1 H, with H = [V^T | I_r].
     Q^-1 H = M^T H + (K x 1_{pxp}) H.  The first term has single-coefficient
     blocks, whose first rows go through the table of S^-T.  E^-T is the
-    circulant of e_inv(x^-1), so its shifts are -supp(e_inv) mod n0.  The
+    circulant of e_inv(x^-1), so its shifts are -e_inv mod n0.  The
     second term has all-ones blocks, which rotations leave unchanged, so
     each travels as one flag through the table's blocks alone.
     """
     prm = sk.params
     p, n0, r0, k0 = prm.p, prm.n0, prm.r0, prm.k0
     kmat = q_correction_mask(sk.q)
-    s_t = scrambler_map(sk, -_support(sk.s.e_inv, n0) % n0)
+    s_t = scrambler_map(sk, -sk.s.e_inv % n0)
     cols, rots = sk.v
 
     # all-ones flags of (K x 1_{pxp}) H.  S^-T sends flag (i, b) to each
@@ -275,12 +272,11 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     ones = ((flags @ incidence) & 1).astype(bool)
 
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
-    for i, ki in enumerate(np.argsort(sk.q.perm)):
+    for i, ((ki,), (rot,)) in enumerate(zip(*sk.m_map)):
         # first row of block row i of M^T H: one coefficient per block
-        rot = -sk.q.psi_rots[i]
         rows, slots = np.nonzero(cols == ki)
         sup = np.append(rows * p + (rot - rots[rows, slots]) % p,
-                        (k0 + ki) * p + rot % p)
+                        (k0 + ki) * p + rot)
         bits = odd_bits(qc_map(s_t, sup, p), prm.n).reshape(n0, p)
         bits ^= ones[i][:, None]
         words[i] = pack_blocks(bits)

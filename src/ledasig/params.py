@@ -55,11 +55,11 @@ class SysParams:
                     f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n0 <= self.r0:
             raise ValueError("n0 must exceed r0")
-        # C(r, w), C(k, m_g) and S's m_S of n0 block shifts must exist,
-        # and R = A.B^T stay below rank r0
+        # C(r, w) and C(k, m_g) must exist, R = A.B^T stay below rank r0,
+        # and E (m_S of n0 block shifts) be invertible, which m_S = n0 is not
         for name, bound, size in (("z", "r0 - 1", self.r0 - 1),
                                   ("w", "r", self.r), ("m_g", "k", self.k),
-                                  ("m_S", "n0", self.n0)):
+                                  ("m_S", "n0 - 1", self.n0 - 1)):
             if getattr(self, name) > size:
                 raise ValueError(f"{name} must be at most {bound} = {size}, "
                                  f"got {getattr(self, name)}")

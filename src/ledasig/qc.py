@@ -1,8 +1,10 @@
 """Bit-packed arithmetic for quasi-cyclic GF(2) linear algebra.
 
-Polynomials in GF(2)[x]/<x^p + 1> are packed little-endian into Python
-integers (coefficient i at bit i).  A p x p circulant matrix is identified
-with the polynomial of its first row.
+Polynomials in GF(2)[x]/<x^p + 1> are held by their supports (int64
+arrays) or in the wire layout below; a p x p circulant matrix is
+identified with the polynomial of its first row.  Python ints packing
+coefficient i at bit i are left only inside inverse_shifts, which inverts
+E, and in the verifier's r-bit comparison (SparseVector.to_int).
 
 Conventions used throughout the package:
 
@@ -90,6 +92,13 @@ def inverse_int(a: int, p: int) -> int:
         raise NotInvertible("gcd(a, x^p + 1) != 1")
     _, inv = _divmod_gf2(s0, modulus)
     return inv
+
+
+def inverse_shifts(shifts: np.ndarray, n: int) -> np.ndarray:
+    """Support of the inverse mod x^n + 1 of the polynomial whose distinct
+    exponents are shifts, as ascending int64."""
+    inv = inverse_int(sum(1 << d for d in shifts.tolist()), n)
+    return np.array([d for d in range(n) if inv >> d & 1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbg import Xof, fresh_xof
+from .drbg import Xof, fisher_yates, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
@@ -73,18 +73,9 @@ def cw_encode(digest: bytes, length: int, weight: int) -> SparseVector:
     """
     if weight > length:
         raise ValueError("weight cannot exceed length")
-    if weight == 0:
-        return SparseVector(length, ())
-    stream = hashlib.shake_256(digest).digest(8 * weight)
-    swapped: dict[int, int] = {}
-    support = []
-    for i in range(weight):
-        u = int.from_bytes(stream[8 * i:8 * i + 8], "little")
-        j = i + ((u * (length - i)) >> 64)
-        vi = swapped.get(i, i)
-        support.append(swapped.get(j, j))
-        swapped[j] = vi
-    return SparseVector(length, tuple(sorted(support)))
+    words = np.frombuffer(hashlib.shake_256(digest).digest(8 * weight), "<u8")
+    steps = [(u * (length - i)) >> 64 for i, u in enumerate(words.tolist())]
+    return SparseVector(length, tuple(sorted(fisher_yates(steps))))
 
 
 def kernel_check(b: np.ndarray, s: SparseVector, p: int) -> bool:

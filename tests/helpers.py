@@ -14,8 +14,9 @@ SIA count tails that its single parity sums and _p_i_ge_j must reproduce
 bit for bit, and the full-range coincidence separation that its
 live-window sums must reproduce.  So do the one-draw-at-a-time samplers
 and factor generators that the batched Xof.below_each, gen_v, gen_s and
-gen_q must match byte for byte, and a salt search that hashes the whole
-message on every trial.
+gen_q must match byte for byte, the constant-weight encoding with its own
+swap loop that signer.cw_encode must match, and a salt search that hashes
+the whole message on every trial.
 """
 
 import hashlib
@@ -81,19 +82,19 @@ def gen_v_scalar(params, xof: Xof) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_s_scalar(params, xof: Xof) -> SFactors:
-    """keygen.gen_s, one draw at a time."""
+    """keygen.gen_s, one draw at a time, inverting E as an int."""
     n0 = params.n0
     while True:
-        e_poly = support_to_int(distinct(xof, n0, params.m_S))
+        e = np.sort(distinct(xof, n0, params.m_S))
         try:
-            e_inv = inverse_int(e_poly, n0)
+            e_inv = int_to_support(inverse_int(support_to_int(e), n0))
         except NotInvertible:
             continue
         break
     perm1 = np.array(distinct(xof, n0, n0))
     perm2 = np.array(distinct(xof, n0, n0))
     rots = np.array([below(xof, params.p) for _ in range(2 * n0)])
-    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e_poly, e_inv)
+    return SFactors(rots[0::2], rots[1::2], perm1, perm2, e, e_inv)
 
 
 def gen_q_scalar(params, xof: Xof) -> QFactors:
@@ -108,6 +109,24 @@ def gen_q_scalar(params, xof: Xof) -> QFactors:
             continue
         psi = np.array([below(xof, params.p) for _ in range(params.r0)])
         return QFactors(perm, psi, a, b, d_inv)
+
+
+def cw_encode_scalar(digest: bytes, length: int, weight: int) -> SparseVector:
+    """signer.cw_encode reading one word at a time, with its own swap loop."""
+    if weight > length:
+        raise ValueError("weight cannot exceed length")
+    if weight == 0:
+        return SparseVector(length, ())
+    stream = hashlib.shake_256(digest).digest(8 * weight)
+    swapped: dict[int, int] = {}
+    support = []
+    for i in range(weight):
+        u = int.from_bytes(stream[8 * i:8 * i + 8], "little")
+        j = i + ((u * (length - i)) >> 64)
+        vi = swapped.get(i, i)
+        support.append(swapped.get(j, j))
+        swapped[j] = vi
+    return SparseVector(length, tuple(sorted(support)))
 
 
 _SHA3 = {1: hashlib.sha3_256, 3: hashlib.sha3_384, 5: hashlib.sha3_512}
@@ -435,9 +454,10 @@ def invert_s(sk: PrivateKey):
     prm = sk.params
     lam_t = genperm_transpose(pi_lambda(sk))
     phi_t = genperm_transpose(pi_phi(sk))
+    e_inv = support_to_int(sk.s.e_inv)
 
     def apply_s_inv(pos: np.ndarray) -> np.ndarray:
-        out = kron_blockmix_apply(sk.s.e_inv, prm.n0, prm.p, lam_t.apply(pos))
+        out = kron_blockmix_apply(e_inv, prm.n0, prm.p, lam_t.apply(pos))
         return np.sort(phi_t.apply(out))
 
     return apply_s_inv
@@ -551,7 +571,7 @@ def table_dense(table, p: int) -> list[int]:
 def s_dense(sk: PrivateKey) -> list[int]:
     """Dense S = PiLambda . (E x I_p) . PiPhi."""
     prm = sk.params
-    e_rows = circulant_rows(sk.s.e_poly, prm.n0)
+    e_rows = circulant_rows(support_to_int(sk.s.e), prm.n0)
     ekron = kron_with_identity(e_rows, prm.n0, prm.p)
     lam = genperm_dense(pi_lambda(sk))
     phi = genperm_dense(pi_phi(sk))
@@ -560,7 +580,7 @@ def s_dense(sk: PrivateKey) -> list[int]:
 
 def s_inv_dense(sk: PrivateKey) -> list[int]:
     prm = sk.params
-    e_rows = circulant_rows(sk.s.e_inv, prm.n0)
+    e_rows = circulant_rows(support_to_int(sk.s.e_inv), prm.n0)
     ekron = kron_with_identity(e_rows, prm.n0, prm.p)
     lam_t = dense_transpose(genperm_dense(pi_lambda(sk)), prm.n)
     phi_t = dense_transpose(genperm_dense(pi_phi(sk)), prm.n)

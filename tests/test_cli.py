@@ -143,11 +143,11 @@ def test_estimate_custom_params_echo(capsys):
 @pytest.mark.parametrize("extra", [
     "foo=1", "m_T=4", "category=2", "n0=0", "r0=0", "p=0", "z=0",
     "m_S=-1", "w=0", "w_g=0", "m_g=0", "w=500", "m_g=9999", "z=13", "z=5",
-    "m_S=31"])
+    "m_S=31", "m_S=29"])
 def test_estimate_bad_custom_params_are_usage_errors(capsys, extra):
     # an unknown key, a category outside {1, 3, 5}, a count below 1, w above
-    # r, m_g above k, z at r0, z above w (no SIA w_L range) or m_S above n0
-    # (no key) is a bad argument, and the error names it
+    # r, m_g above k, z at r0, z above w (no SIA w_L range) or m_S at or
+    # above n0 (no key) is a bad argument, and the error names it
     rc = main(["estimate", "--params",
                "n0=29,r0=13,p=13,z=2,m_S=3,w=3,w_g=7,m_g=2," + extra])
     assert rc == 2

@@ -338,6 +338,42 @@ def test_expanded_v_rows_in_any_order(a3_key):
     assert decode_private_key_expanded(blob) == sk
 
 
+def _with_e_bits(sk, edit):
+    """Expanded blob of sk after edit() changed the bits of E's field."""
+    prm = sk.params
+    n0, nbytes = prm.n0, (prm.n0 + 7) // 8
+    blob = bytearray(encode_private_key_expanded(sk))
+    # seed, V entries, lam and phi (u32), perm1 and perm2 (u16), then E
+    start = (6 + prm.seed_bytes + V_ENTRY.itemsize * prm.k0 * (prm.w_g - 1)
+             + 12 * n0)
+    bits = np.unpackbits(np.frombuffer(bytes(blob[start:start + nbytes]),
+                                       np.uint8), bitorder="little")
+    edit(bits)
+    blob[start:start + nbytes] = np.packbits(bits, bitorder="little").tobytes()
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("bad", ["bit_at_n0", "weight_minus_1",
+                                 "weight_plus_2"])
+def test_expanded_invalid_scrambler_polynomial_rejected(a3_key, bad):
+    sk, _ = a3_key
+    n0 = sk.params.n0
+
+    def edit(bits):
+        assert bits[:n0].sum() == sk.params.m_S and not bits[n0:].any()
+        ones, zeros = np.flatnonzero(bits[:n0]), np.flatnonzero(bits[:n0] == 0)
+        if bad == "bit_at_n0":
+            # weight m_S kept: one coefficient moves to x^n0
+            bits[ones[0]], bits[n0] = 0, 1
+        elif bad == "weight_minus_1":
+            bits[ones[-1]] = 0
+        else:
+            bits[zeros[:2]] = 1
+
+    with pytest.raises(FormatError, match="invalid scrambler polynomial"):
+        decode_private_key_expanded(_with_e_bits(sk, edit))
+
+
 # ---------------------------------------------------------------------------
 # decoders are total: a valid header followed by any bytes gives an object
 # or FormatError (IntegrityError is one), and nothing else

@@ -4,15 +4,15 @@ import pytest
 from helpers import (dense_eye, dense_mul, dense_transpose, dense_vec_mul,
                      g_dense, genperm_dense, genperm_transpose, h_dense,
                      invert_perm, invert_q, invert_s, kron_blockmix_apply,
-                     m_perm, pi_lambda, pi_phi, q_dense, q_inv_dense,
+                     m_perm, mul_int, pi_lambda, pi_phi, q_dense, q_inv_dense,
                      s_dense, s_inv_dense, support_to_int, table_dense,
                      toy_private_key, transpose_int, v_qc, words_to_qc)
 from ledasig import keypair_from_seed, toy_params
 from ledasig.drbg import Xof
-from ledasig.keygen import (PrivateKey, _support, apply_s, build_public_key,
-                            compute_d, gen_v, q_correction_mask,
-                            scrambler_map)
-from ledasig.params import get_instance
+from ledasig.keygen import (PrivateKey, apply_s, build_public_key,
+                            compute_d, gen_v, private_key_from_seed,
+                            q_correction_mask, scrambler_map)
+from ledasig.params import INSTANCES, get_instance
 
 
 def _assert_v_rows(v, prm):
@@ -67,7 +67,7 @@ def test_s_row_weight_full_scale(a3_key):
     # row i of S = S^T e_i = PiPhi^T (E^T x I_p) PiLambda^T e_i
     sk, _ = a3_key
     prm = sk.params
-    et = transpose_int(sk.s.e_poly, prm.n0)
+    et = transpose_int(support_to_int(sk.s.e), prm.n0)
     lam_t = genperm_transpose(pi_lambda(sk))
     phi_t = genperm_transpose(pi_phi(sk))
     for i in (0, 127, prm.n - 1):
@@ -75,6 +75,21 @@ def test_s_row_weight_full_scale(a3_key):
         pos = kron_blockmix_apply(et, prm.n0, prm.p, pos)
         pos = phi_t.apply(pos)
         assert len(pos) == prm.m_S
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_scrambler_circulant_held_as_shift_arrays(name):
+    # E and E^-1 are ascending int64 block shifts, and every factor of the
+    # private key is an array
+    prm = INSTANCES[name]
+    sk = private_key_from_seed(bytes(prm.seed_bytes), prm)
+    e, e_inv = sk.s.e, sk.s.e_inv
+    assert e.dtype == e_inv.dtype == np.int64 and e.shape == (prm.m_S,)
+    for shifts in (e, e_inv):
+        assert (np.diff(shifts) > 0).all()
+        assert 0 <= shifts[0] and shifts[-1] < prm.n0
+    assert mul_int(support_to_int(e), support_to_int(e_inv), prm.n0) == 1
+    assert all(isinstance(a, np.ndarray) for a in sk._arrays())
 
 
 TABLE_SHAPES = [
@@ -99,10 +114,10 @@ def test_key_tables_match_dense_factors(shape):
 
 @pytest.mark.parametrize("shape", range(len(TABLE_SHAPES)))
 def test_s_inverse_transpose_table(shape):
-    # the table build_public_key composes from -supp(e_inv) is S^-T
+    # the table build_public_key composes from -e_inv is S^-T
     prm = toy_params("tab", **TABLE_SHAPES[shape])
     sk = toy_private_key(prm, b"tab%d" % shape)
-    shifts = -_support(sk.s.e_inv, prm.n0) % prm.n0
+    shifts = -sk.s.e_inv % prm.n0
     s_t = table_dense(scrambler_map(sk, shifts), prm.p)
     assert s_t == dense_transpose(s_inv_dense(sk), prm.n)
 
@@ -233,7 +248,8 @@ def test_public_key_trivial_factors():
         params=prm, seed=b"",
         v=(no_v, no_v),
         s=SFactors(np.zeros(n0, np.int64), np.zeros(n0, np.int64),
-                   np.arange(n0), np.arange(n0), 1, 1),
+                   np.arange(n0), np.arange(n0), np.zeros(1, np.int64),
+                   np.zeros(1, np.int64)),
         q=QFactors(np.arange(r0), np.zeros(r0, np.int64),
                    np.zeros((r0, 1), dtype=np.uint8),
                    np.zeros((r0, 1), dtype=np.uint8),

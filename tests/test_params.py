@@ -33,12 +33,12 @@ def test_counts_below_one_are_rejected(field, value):
 
 @pytest.mark.parametrize("field, value, bound", [
     ("z", 13, "r0 - 1 = 12"), ("w", 404, "r = 403"), ("m_g", 497, "k = 496"),
-    ("m_S", 31, "n0 = 29")],
-    ids=["z", "w", "m_g", "m_S"])
+    ("m_S", 31, "n0 - 1 = 28"), ("m_S", 29, "n0 - 1 = 28")],
+    ids=["z", "w", "m_g", "m_S", "m_S_n0"])
 @pytest.mark.parametrize("strict", [False, True])
 def test_counts_above_their_range_are_rejected(field, value, bound, strict):
     # C(r, w) and C(k, m_g) must exist, z must stay below r0, and S's m_S
-    # block shifts must be distinct among n0
+    # block shifts must be distinct among n0 and not all of them
     with pytest.raises(ValueError, match=f"^{field} must be at most {bound}"):
         SysParams(name="x", category=1, strict=strict,
                   **{**TOY29W, field: value})

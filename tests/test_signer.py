@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import (dense_vec_mul, gen_error_rehashing, h_dense,
-                     kron_all_ones, sparse_from_int, support_to_int,
+from helpers import (cw_encode_scalar, dense_vec_mul, gen_error_rehashing,
+                     h_dense, kron_all_ones, sparse_from_int, support_to_int,
                      toy_private_key)
 from ledasig import toy_params
 from ledasig.drbg import Xof
@@ -45,6 +47,32 @@ def test_hash_digest_theta_sensitivity():
 
 # ---------------------------------------------------------------------------
 # constant-weight encoding
+
+
+GAMMA3 = get_instance("gamma3")
+
+
+@st.composite
+def _cw_args(draw):
+    """A digest, a length up to gamma3's r, and a weight of 0, the whole
+    length (for short lengths) or anything up to 128."""
+    length = draw(st.one_of(st.integers(0, 300), st.integers(0, GAMMA3.r)))
+    cap = min(length, 128)
+    weight = draw(st.one_of(st.just(0), st.just(length if length <= 300
+                                                 else cap),
+                            st.integers(0, cap)))
+    return draw(st.binary(max_size=64)), length, weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cw_args())
+@example((b"", 0, 0))
+@example((b"d", 7, 7))
+@example((b"\x01" * 32, A3.r, A3.w))
+@example((b"\x05" * 64, GAMMA3.r, GAMMA3.w))
+@example((b"\x07" * 64, GAMMA3.r, GAMMA3.r // 1000))
+def test_cw_encode_matches_scalar_oracle(args):
+    assert cw_encode(*args) == cw_encode_scalar(*args)
 
 
 def test_cw_encode_extremes():
