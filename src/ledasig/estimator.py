@@ -11,7 +11,7 @@ Binomials of size C(~30000, ~900) appear throughout, so probabilities
 are carried as log2 values and sums use max-shifted exponential sums.
 Each quantity has one form: every hypergeometric parity probability is
 _parity_sum (one marked set) or _pair_parity_sum (two disjoint marked
-sets), every pair-overlap pmf is _pair_and_dist, and sia_wf is the one
+sets), every AND / XOR step is _overlap_fold, and sia_wf is the one
 SIA evaluation.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,20 +56,26 @@ def _lb(n: float, k: float) -> float:
 def _lb_array(n, k) -> np.ndarray:
     """_lb over broadcast integer arrays, bit for bit.
 
-    math.lgamma is mapped over the arguments: scipy's gammaln rounds
-    differently on about half the integers in range, which would move
-    the reported work factors in their last bits.
+    math.lgamma is mapped over the distinct arguments: scipy's gammaln
+    rounds differently on about half the integers in range, which would
+    move the reported work factors in their last bits.
     """
     n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k))
     out = np.full(n.shape, NEG_INF)
     ok = (k >= 0) & (n >= 0) & (k <= n)
     n, k = n[ok], k[ok]
-    out[ok] = (_lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)) / LN2
+    args, inverse = np.unique(np.stack((n + 1, k + 1, n - k + 1)),
+                              return_inverse=True)
+    lg = _map(math.lgamma, args)[inverse].reshape(3, -1)
+    out[ok] = (lg[0] - lg[1] - lg[2]) / LN2
     return out
 
 
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
+def _map(f, a) -> np.ndarray:
+    """The scalar f over an array's entries. numpy's SIMD exp2, log2 and
+    expm1 round differently from libm on some inputs."""
+    return np.fromiter(map(f, a.ravel().tolist()), np.float64,
+                       a.size).reshape(a.shape)
 
 
 def log2_sum(values) -> float:
@@ -78,33 +84,54 @@ def log2_sum(values) -> float:
     if not vals:
         return NEG_INF
     m = max(vals)
-    # numpy terms would make the result np.float64.  Convert the result,
-    # not the terms: Python >= 3.12 sums exact floats with compensation,
-    # which would move the last bits.
-    return float(m + math.log2(sum(2.0 ** (v - m) for v in vals)))
+    # a left fold: Python >= 3.12's sum() compensates, which would move
+    # the last bits; numpy terms would make the result np.float64
+    total = 0.0
+    for v in vals:
+        total += 2.0 ** (v - m)
+    return float(m + math.log2(total))
+
+
+@np.errstate(invalid="ignore")
+def _log2_sum_rows(v: np.ndarray) -> np.ndarray:
+    """log2_sum along the last axis, bit for bit: the same max shift, and
+    the terms added left to right."""
+    live = v != NEG_INF
+    rows = live.any(axis=-1)
+    m = np.max(v, axis=-1)
+    terms = np.zeros(v.shape)
+    terms[live] = _map(partial(pow, 2.0), (v - m[..., None])[live])
+    total = np.zeros(m.shape)
+    for col in np.moveaxis(terms, -1, 0):
+        total = total + col
+    out = np.full(m.shape, NEG_INF)
+    out[rows] = m[rows] + _map(math.log2, total[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # AND / XOR weight distributions of independent fixed-weight vectors
 
 
-def _pair_and_dist(n: int, w1: int, w2: int) -> np.ndarray:
-    """log2 P[wt(v1 & v2) = x] over x = 0..min(w1, w2)."""
-    out = np.full(min(w1, w2) + 1, NEG_INF)
-    x = np.arange(max(0, w1 + w2 - n), min(w1, w2) + 1)
-    out[x] = _lb_array(w1, x) + _lb_array(n - w1, w2 - x) - _lb(n, w2)
-    return out
-
-
-def _and_step(n: int, dist: np.ndarray, w: int, keep: int) -> np.ndarray:
-    """AND one more independent weight-w vector into a weight
-    distribution; the result keeps weights 0..keep-1."""
-    new = np.full(len(dist), NEG_INF)
-    for x in np.flatnonzero(dist != NEG_INF).tolist():
-        pair = _pair_and_dist(n, x, w)
-        stop = min(len(pair), len(new))
-        new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
-    return new[:keep]
+def _overlap_fold(n: int, dist: np.ndarray, w: int, size: int,
+                  xor: bool = False) -> np.ndarray:
+    """Combine one more independent weight-w vector with a weight
+    distribution, into weights 0..size-1. A weight-x vector overlapping the
+    new one in i positions gives y = x + w - 2i under XOR and i under AND;
+    the live (x, i) terms are sorted by (y, x), and one reduceat folds each
+    y's terms in increasing x, as a per-x loop does."""
+    x, i = np.broadcast_arrays(np.flatnonzero(dist != NEG_INF)[:, None],
+                               np.arange(w + 1))
+    live = (i >= x + w - n) & (i <= x) & (xor | (i < size))
+    x, i = x[live], i[live]
+    y = x + w - 2 * i if xor else i
+    pair = _lb_array(x, i) + _lb_array(n - x, w - i) - _lb(n, w)
+    order = np.lexsort((x, y))
+    terms, y = (dist[x] + pair)[order], y[order]
+    starts = np.flatnonzero(np.diff(y, prepend=-1))
+    new = np.full(size, NEG_INF)
+    new[y[starts]] = np.logaddexp2.reduceat(terms, starts)
+    return new
 
 
 def and_weight_dist(n: int, weights) -> np.ndarray:
@@ -112,9 +139,8 @@ def and_weight_dist(n: int, weights) -> np.ndarray:
     weights = list(weights)
     dist = np.full(weights[0] + 1, NEG_INF)
     dist[weights[0]] = 0.0
-    keep = max(1, min(weights) + 1)
     for w in weights[1:]:
-        dist = _and_step(n, dist, w, keep)
+        dist = _overlap_fold(n, dist, w, min(weights) + 1)
     return dist
 
 
@@ -123,24 +149,7 @@ def _iterated_and_dist(n: int, w: int, count: int) -> np.ndarray:
     """and_weight_dist(n, [w] * count), one step on from count - 1."""
     if count == 1:
         return and_weight_dist(n, [w])
-    return _and_step(n, _iterated_and_dist(n, w, count - 1), w, w + 1)
-
-
-def _xor_step(n: int, dist: np.ndarray, w: int) -> np.ndarray:
-    """XOR one more independent weight-w vector into a weight
-    distribution over 0..n.
-
-    Only the live weights x are visited, in increasing order; a weight-x
-    vector overlapping the new one in i positions gives weight
-    x + w - 2i.
-    """
-    new = np.full(n + 1, NEG_INF)
-    for x in np.flatnonzero(dist != NEG_INF).tolist():
-        pair = _pair_and_dist(n, x, w)
-        i = np.flatnonzero(pair != NEG_INF)
-        y = x + w - 2 * i
-        new[y] = np.logaddexp2(new[y], dist[x] + pair[i])
-    return new
+    return _overlap_fold(n, _iterated_and_dist(n, w, count - 1), w, w + 1)
 
 
 def xor_weight_dist(n: int, weights) -> np.ndarray:
@@ -149,7 +158,7 @@ def xor_weight_dist(n: int, weights) -> np.ndarray:
     dist = np.full(n + 1, NEG_INF)
     dist[weights[0]] = 0.0
     for w in weights[1:]:
-        dist = _xor_step(n, dist, w)
+        dist = _overlap_fold(n, dist, w, n + 1, xor=True)
     return dist
 
 
@@ -334,8 +343,8 @@ def lca_wf(params: SysParams) -> LcaEstimate:
     # extended by one vector per ell
     syndrome, info = xor_weight_dist(r, [w]), xor_weight_dist(k, [m_g])
     for ell in range(2, _LCA_MAX_COMBINATIONS + 1):
-        syndrome = _xor_step(r, syndrome, w)
-        info = _xor_step(k, info, m_g)
+        syndrome = _overlap_fold(r, syndrome, w, r + 1, xor=True)
+        info = _overlap_fold(k, info, m_g, k + 1, xor=True)
         p_syndrome = float(syndrome[w])
         p_info = log2_sum(info[:m_g + 1])
         if p_syndrome == NEG_INF or p_info == NEG_INF:
@@ -396,30 +405,34 @@ def _bit_probabilities(params: SysParams, w_l: int,
     return p_i1, p_i, p_j1, p_j
 
 
-def _p_i_ge_j(n: int, ell: int, wlw: int, p_i: float, p_j: float) -> float:
+@np.errstate(invalid="ignore")
+def _p_i_ge_j(n: int, ell: int, wlw, p_i, p_j):
     """log2 P[every one of wlw tracked I-bits is set more often over ell
     pairs than every one of the n - wlw J-bits], each bit set
-    Binomial(ell, p_i) or Binomial(ell, p_j) times."""
-    log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
-    log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
-    # P[an I-bit is set exactly x times], x = 1..ell; a J-bit, x = 0..ell-1
-    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
-                 for x in range(1, ell + 1)]
-    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
-                 for x in range(ell)]
-    # P[an I-bit is set >= x times], x = 1..ell + 1
-    pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 1)]
-    total = []
-    for x in range(ell):
-        # all I-bits set >= x + 1 times, one exactly x + 1 ...
-        pi_ge = _log2_pow_diff(pi_tail[x], pi_tail[x + 1], wlw)
-        if pi_ge == NEG_INF:
-            continue
-        # ... and all J-bits set <= x times
-        cdf = log2_sum(pj_counts[:x + 1])
-        pj_le = min(0.0, (n - wlw) * cdf) if cdf != NEG_INF else NEG_INF
-        total.append(pj_le + pi_ge)
-    return log2_sum(total)
+    Binomial(ell, p_i) or Binomial(ell, p_j) times; entrywise over the
+    broadcast wlw >= 1, p_i and p_j."""
+    wlw, p_i, p_j = (a[..., None] for a in np.broadcast_arrays(wlw, p_i, p_j))
+    x = np.arange(ell + 1)
+    # P[an I-bit / a J-bit is set exactly x times], x = 0..ell
+    pi_counts, pj_counts = (_lb_array(ell, x) + x * _map(_safe_log2, p)
+                            + (ell - x) * _map(_safe_log2, 1 - p)
+                            for p in (p_i, p_j))
+    # P[an I-bit is set >= x + 1 times], x = 0..ell
+    tail = _log2_sum_rows(
+        np.where(x[:, None] < x[1:], pi_counts[..., None, 1:], NEG_INF))
+    # all I-bits set >= x + 1 times, one exactly x + 1: the log2 of
+    # 2^(wlw*hi) - 2^(wlw*lo), with -inf where it rounds to <= 0 ...
+    hi, lo = tail[..., :-1], tail[..., 1:]
+    pi_ge, gap = wlw * hi, wlw * lo - wlw * hi
+    near = ~((lo == NEG_INF) | (gap < -60))
+    pi_ge[near] += _map(_safe_log2, -_map(math.expm1, gap[near] * LN2))
+    # ... and all J-bits set <= x times, x = 0..ell - 1
+    cdf = _log2_sum_rows(
+        np.where(x[:-1, None] >= x[:-1], pj_counts[..., None, :-1], NEG_INF))
+    scaled = (n - wlw) * cdf
+    pj_le = np.where(cdf == NEG_INF, NEG_INF,
+                     np.where(scaled < 0.0, scaled, 0.0))
+    return _log2_sum_rows(pj_le + pi_ge)[()]
 
 
 def p_and_intersection(params: SysParams, ell: int, w_l: int) -> float:
@@ -430,21 +443,6 @@ def p_and_intersection(params: SysParams, ell: int, w_l: int) -> float:
 
 def _safe_log2(x: float) -> float:
     return math.log2(x) if x > 0 else NEG_INF
-
-
-def _log2_pow_diff(hi: float, lo: float, power: float) -> float:
-    """log2(2^(hi*power) - 2^(lo*power)) for hi >= lo, both <= 0."""
-    if hi == NEG_INF:
-        return NEG_INF
-    if lo == NEG_INF:
-        return power * hi
-    a, b = power * hi, power * lo
-    if b - a < -60:
-        return a
-    diff = -math.expm1((b - a) * LN2)
-    if diff <= 0.0:
-        return NEG_INF
-    return a + math.log2(diff)
 
 
 @dataclass(frozen=True)
@@ -469,14 +467,15 @@ def sia_wf(params: SysParams) -> SiaEstimate:
     if params.z > params.w:
         raise ValueError(f"SIA needs z <= w, got z={params.z}, w={params.w}")
     rows = _codeword_row_parities(params)
-    bits = {w_l: _bit_probabilities(params, w_l, rows)
-            for w_l in range(params.z, params.w + 1)}
+    w_ls = np.arange(params.z, params.w + 1)
+    _, p_i, _, p_j = np.array([_bit_probabilities(params, w_l, rows)
+                               for w_l in w_ls.tolist()]).T
     best = (math.inf, 2, params.z)
     for ell in range(2, _SIA_MAX_COLLECTED + 1):
-        for w_l, (_, p_i, _, p_j) in bits.items():
-            p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_l, p_i, p_j)
+        p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_ls, p_i, p_j)
+        for w_l, p in zip(w_ls.tolist(), p_igej.tolist()):
             wf = _sia_wf_at(params, ell, w_l,
-                            p_and_intersection(params, ell, w_l), p_igej)
+                            p_and_intersection(params, ell, w_l), p)
             if wf < best[0]:
                 best = (wf, ell, w_l)
     return SiaEstimate(best[0], best[1], best[2])

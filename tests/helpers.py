@@ -7,16 +7,17 @@ packed in ints), the polynomial and quasi-cyclic products, the inverse
 application procedures for S and Q, and the generalized permutations
 Pi_Lambda, Pi_Phi and M built from the raw key factors live here because
 only tests use them; they check the package's composed (blocks, rots)
-tables independently.  So do
-the scalar AND / XOR weight-distribution loops that the estimator's array
-steps must reproduce bit for bit, the written-out parity-sum loops and
-SIA count tails that its single parity sums and _p_i_ge_j must reproduce
-bit for bit, and the full-range coincidence separation that its
-live-window sums must reproduce.  So do the one-draw-at-a-time samplers
-and factor generators that the batched Xof.below_each, gen_v, gen_s and
-gen_q must match byte for byte, the constant-weight encoding with its own
-swap loop that signer.cw_encode must match, and a salt search that hashes
-the whole message on every trial.
+tables independently.  So do the scalar AND / XOR weight-distribution
+loops and per-x steps that the estimator's sorted reduceat fold must
+reproduce bit for bit; the written-out parity-sum loops, the SIA count
+tails, the one-point _p_i_ge_j and the scalar sia_wf and lca_wf built
+from these loops, which its array forms must reproduce bit for bit; and
+the full-range coincidence separation that its live-window sums must
+reproduce.  So do the one-draw-at-a-time samplers and factor generators
+that the batched Xof.below_each, gen_v, gen_s and gen_q must match byte
+for byte, the constant-weight encoding with its own swap loop that
+signer.cw_encode must match, and a salt search that hashes the whole
+message on every trial.
 """
 
 import hashlib
@@ -29,11 +30,14 @@ from scipy.special import gammaln
 from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
-from ledasig.estimator import (NEG_INF, _lb, _log2_pow_diff, _safe_log2,
-                               log2_sum)
+from ledasig.estimator import (LN2, NEG_INF, SiaEstimate, LcaEstimate,
+                               _LCA_MAX_COMBINATIONS, _SIA_MAX_COLLECTED,
+                               _bit_probabilities, _codeword_row_parities, _lb,
+                               _safe_log2, _sia_wf_at, log2_sum)
 from ledasig.errors import NotInvertible, Singular
 from ledasig.keygen import (PrivateKey, QFactors, SFactors, compute_d, gen_q,
                             gen_s, gen_v, q_correction_mask, sort_v_rows)
+from ledasig.params import INSTANCES
 from ledasig.qc import SparseVector, dense_invert, inverse_int, qc_map
 from ledasig.signer import cw_encode, kernel_check
 
@@ -672,21 +676,38 @@ def _pair_and_dist_loop(n: int, w1: int, w2: int) -> np.ndarray:
     return out
 
 
+def and_step_loop(n: int, dist: np.ndarray, w: int, keep: int) -> np.ndarray:
+    """AND one more weight-w vector into a weight distribution, one live
+    weight x at a time; the result keeps weights 0..keep-1."""
+    new = np.full(len(dist), NEG_INF)
+    for x in np.flatnonzero(dist != NEG_INF).tolist():
+        pair = _pair_and_dist_loop(n, x, w)
+        stop = min(len(pair), len(new))
+        new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
+    return new[:keep]
+
+
 def and_weight_dist_loop(n: int, weights) -> np.ndarray:
     """log2 distribution of wt(v1 & ... & vm), scalar fold."""
     weights = list(weights)
     dist = np.full(weights[0] + 1, NEG_INF)
     dist[weights[0]] = 0.0
     for w in weights[1:]:
-        new = np.full(len(dist), NEG_INF)
-        for x in range(len(dist)):
-            if dist[x] == NEG_INF:
-                continue
-            pair = _pair_and_dist_loop(n, x, w)
-            stop = min(len(pair), len(new))
-            new[:stop] = np.logaddexp2(new[:stop], dist[x] + pair[:stop])
-        dist = new[:max(1, min(weights) + 1)]
+        dist = and_step_loop(n, dist, w, max(1, min(weights) + 1))
     return dist
+
+
+def xor_step_loop(n: int, dist: np.ndarray, w: int) -> np.ndarray:
+    """XOR one more weight-w vector into a weight distribution over 0..n,
+    one live weight x at a time, in increasing x; a weight-x vector
+    overlapping the new one in i positions gives weight x + w - 2i."""
+    new = np.full(n + 1, NEG_INF)
+    for x in np.flatnonzero(dist != NEG_INF).tolist():
+        pair = _pair_and_dist_loop(n, x, w)
+        i = np.flatnonzero(pair != NEG_INF)
+        y = x + w - 2 * i
+        new[y] = np.logaddexp2(new[y], dist[x] + pair[i])
+    return new
 
 
 def _pair_xor_dist_loop(n: int, w1: int, w2: int) -> np.ndarray:
@@ -725,6 +746,10 @@ def xor_weight_dist_loop(n: int, weights) -> np.ndarray:
 
 # small enough for the Monte-Carlo checks of the SIA bit model
 SIATOY = toy_params("siatoy", n0=12, r0=6, p=2, z=2, m_S=3, w=4, w_g=3, m_g=2)
+
+# the shapes whose full reports the estimator's exact checks cover
+REPORT_PARAMS = [*INSTANCES.values(), toy_params("toy29"),
+                 toy_params("toy29w")]
 
 
 def signature_bit_probability_loop(params) -> float:
@@ -791,7 +816,7 @@ def count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
     pi_ge = []
     for x in range(ell + 1):
         hi, lo = pi_tail[x], pi_tail[x + 1]
-        pi_ge.append(_log2_pow_diff(hi, lo, wlw))
+        pi_ge.append(log2_pow_diff(hi, lo, wlw))
     pj_cdf = [log2_sum(pj_counts[:x + 1]) for x in range(ell + 1)]
     pj_le = [min(0.0, (n - wlw) * c) if c != NEG_INF else NEG_INF
              for c in pj_cdf]
@@ -799,6 +824,86 @@ def count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
     p_i_ge_j = log2_sum(
         pj_le[i] + pi_ge[i + 1] for i in range(ell) if pi_ge[i + 1] != NEG_INF)
     return pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j
+
+
+def log2_pow_diff(hi: float, lo: float, power: float) -> float:
+    """log2(2^(hi*power) - 2^(lo*power)) for hi >= lo, both <= 0."""
+    if hi == NEG_INF:
+        return NEG_INF
+    if lo == NEG_INF:
+        return power * hi
+    a, b = power * hi, power * lo
+    if b - a < -60:
+        return a
+    diff = -math.expm1((b - a) * LN2)
+    if diff <= 0.0:
+        return NEG_INF
+    return a + math.log2(diff)
+
+
+def p_i_ge_j_scalar(n: int, ell: int, wlw: int, p_i: float,
+                    p_j: float) -> float:
+    """estimator._p_i_ge_j at one point, building only the count and tail
+    entries that its sum reads."""
+    log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
+    log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
+    # P[an I-bit is set exactly x times], x = 1..ell; a J-bit, x = 0..ell-1
+    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
+                 for x in range(1, ell + 1)]
+    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
+                 for x in range(ell)]
+    # P[an I-bit is set >= x times], x = 1..ell + 1
+    pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 1)]
+    total = []
+    for x in range(ell):
+        # all I-bits set >= x + 1 times, one exactly x + 1 ...
+        pi_ge = log2_pow_diff(pi_tail[x], pi_tail[x + 1], wlw)
+        if pi_ge == NEG_INF:
+            continue
+        # ... and all J-bits set <= x times
+        cdf = log2_sum(pj_counts[:x + 1])
+        pj_le = min(0.0, (n - wlw) * cdf) if cdf != NEG_INF else NEG_INF
+        total.append(pj_le + pi_ge)
+    return log2_sum(total)
+
+
+def sia_wf_scalar(params) -> SiaEstimate:
+    """estimator.sia_wf one (L, w_L) point at a time, from the scalar
+    oracles and an AND distribution extended by and_step_loop."""
+    rows = _codeword_row_parities(params)
+    bits = {w_l: _bit_probabilities(params, w_l, rows)
+            for w_l in range(params.z, params.w + 1)}
+    and_dist = and_weight_dist_loop(params.r, [params.w])
+    best = (math.inf, 2, params.z)
+    for ell in range(2, _SIA_MAX_COLLECTED + 1):
+        and_dist = and_step_loop(params.r, and_dist, params.w, params.w + 1)
+        for w_l, (_, p_i, _, p_j) in bits.items():
+            p_igej = p_i_ge_j_scalar(params.n, ell, params.m_S * w_l, p_i, p_j)
+            wf = _sia_wf_at(params, ell, w_l, float(and_dist[w_l]), p_igej)
+            if wf < best[0]:
+                best = (wf, ell, w_l)
+    return SiaEstimate(*best)
+
+
+def lca_wf_scalar(params) -> LcaEstimate:
+    """estimator.lca_wf with its XOR steps from xor_step_loop."""
+    w, r, k, m_g = params.w, params.r, params.k, params.m_g
+    w_sigma = (params.w + params.w_c) * params.m_S
+    best, best_l = math.inf, 2
+    syndrome, info = np.full(r + 1, NEG_INF), np.full(k + 1, NEG_INF)
+    syndrome[w], info[m_g] = 0.0, 0.0
+    for ell in range(2, _LCA_MAX_COMBINATIONS + 1):
+        syndrome = xor_step_loop(r, syndrome, w)
+        info = xor_step_loop(k, info, m_g)
+        p_syndrome = float(syndrome[w])
+        p_info = log2_sum(info[:m_g + 1])
+        if p_syndrome == NEG_INF or p_info == NEG_INF:
+            continue
+        cost = math.log2((ell - 1) * w + (ell - 1) * w_sigma)
+        wf = cost - p_syndrome - p_info
+        if wf < best:
+            best, best_l = wf, ell
+    return LcaEstimate(best, best_l)
 
 
 # ---------------------------------------------------------------------------

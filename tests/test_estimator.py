@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (SIATOY, and_weight_dist_loop, binom_logpmfs_full,
-                     coincidence_separation_full, count_tails,
+from helpers import (REPORT_PARAMS, SIATOY, and_weight_dist_loop,
+                     binom_logpmfs_full, coincidence_separation_full,
+                     count_tails, p_i_ge_j_scalar,
                      pair_coincidence_probs_loops,
                      signature_bit_probability_loop, xor_weight_dist_loop)
 from ledasig import estimator, toy_params
@@ -179,22 +180,27 @@ def test_parity_sums_equal_written_out_loops(prm):
     assert _pair_coincidence_probs(prm) == pair_coincidence_probs_loops(prm)
 
 
-@pytest.mark.parametrize("name", ["a3", "b6"])
-def test_p_i_ge_j_equals_count_tails_where_sia_wf_looks(monkeypatch, name):
-    prm = get_instance(name)
+@pytest.mark.parametrize("prm", REPORT_PARAMS, ids=lambda prm: prm.name)
+def test_p_i_ge_j_equals_count_tails_where_sia_wf_looks(monkeypatch, prm):
     calls = []
     inner = estimator._p_i_ge_j
 
     def recording(*args):
-        calls.append(args)
-        return inner(*args)
+        calls.append((args, inner(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(estimator, "_p_i_ge_j", recording)
     sia_wf(prm)
     monkeypatch.undo()
-    assert len(calls) == 15 * (prm.w - prm.z + 1)
-    for args in calls:
-        assert _p_i_ge_j(*args) == count_tails(*args)[-1], args
+    # one call per L, over every w_L = z..w at once
+    assert len(calls) == 15
+    for (n, ell, wlw, p_i, p_j), got in calls:
+        assert len(got) == prm.w - prm.z + 1
+        for point in zip(wlw.tolist(), p_i.tolist(), p_j.tolist(),
+                         got.tolist()):
+            args = (n, ell, *point[:3])
+            assert point[3] == count_tails(*args)[-1], args
+            assert point[3] == p_i_ge_j_scalar(*args), args
 
 
 # ---------------------------------------------------------------------------
