@@ -33,7 +33,7 @@ order below is fixed and replaying a seed reproduces the key bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,8 @@ from .errors import DimensionError, NotInvertible, Singular
 from .packed import PackedQc
 from .params import SysParams
 from .qc import (PackedVector, dense_invert, inverse_shifts, odd_bits,
-                 pack_blocks, padding_clear, qc_map)
+                 odd_positions, pack_blocks, padding_clear, qc_map,
+                 sorts_faster)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +112,16 @@ class PrivateKey:
 
 @dataclass(eq=False)
 class PublicKey:
-    """H' as its wire payload, read-only: words[i, j] is block (i, j)."""
+    """H' as its wire payload, read-only: words[i, j] is block (i, j).
+
+    sparse_rows is what build_public_key hands to the packed key: each
+    block's all-ones flag and sparse part (see packed.PackedQc).  It is
+    None for a decoded key, and dropped once the packed key is built.
+    """
 
     params: SysParams
     words: np.ndarray          # (r0, n0, ceil(p/64)) '<u8'
+    sparse_rows: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         prm = self.params
@@ -126,7 +133,8 @@ class PublicKey:
 
     @cached_property
     def packed(self) -> PackedQc:
-        return PackedQc(self.words, self.params.p)
+        rows, self.sparse_rows = self.sparse_rows, None
+        return PackedQc(self.words, self.params.p, rows)
 
     def __eq__(self, other):
         return (isinstance(other, PublicKey) and self.params == other.params
@@ -260,27 +268,56 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
 
     # all-ones flags of (K x 1_{pxp}) H.  S^-T sends flag (i, b) to each
     # (i, blocks[b, j]); E^-T is dense, so their parity is taken as the
-    # flags times the table's block incidence (uint8 sums wrap mod 256,
-    # which keeps it), not over a list of the pairs.
+    # flags times the table's block incidence, not over a list of the
+    # pairs.  The sums stay below n0, so float32 (BLAS) products are exact.
     nzv = np.zeros((k0, r0), dtype=np.uint8)
     np.put_along_axis(nzv, cols, 1, axis=1)
     flags = np.empty((r0, n0), dtype=np.uint8)
     flags[:, :k0] = (kmat @ nzv.T) & 1
     flags[:, k0:] = kmat
-    incidence = np.zeros((n0, n0), dtype=np.uint8)
+    incidence = np.zeros((n0, n0), dtype=np.float32)
     np.put_along_axis(incidence, s_t[0], 1, axis=1)
-    ones = ((flags @ incidence) & 1).astype(bool)
+    ones = (flags @ incidence) % 2 == 1
+    # V's entries in block column ki, row-major as np.nonzero lists them
+    in_col = np.argsort(cols, axis=None, kind="stable")
+    col_ends = np.searchsorted(cols.ravel()[in_col], np.arange(r0 + 1))
 
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
+    all_ones = pack_blocks(np.ones(p, dtype=bool))
+    # each row's odd positions are its blocks' sparse parts; they are kept
+    # for the packed key while they fit an int32 index no larger than the
+    # words, its rule for the sparse product.  Row i scrambles one support
+    # bit per entry of V in block column ki, plus one, into one position
+    # per column of S^-T's table, so all rows hold at most
+    # (cols.size + r0) * len(e_inv) of them.
+    fits = words.nbytes // 4
+    sparse = np.empty(min(fits, (cols.size + r0) * s_t[0].shape[1]),
+                      dtype=np.int32)
+    ends = [0]
     for i, ((ki,), (rot,)) in enumerate(zip(*sk.m_map)):
         # first row of block row i of M^T H: one coefficient per block
-        rows, slots = np.nonzero(cols == ki)
+        rows, slots = np.divmod(in_col[col_ends[ki]:col_ends[ki + 1]],
+                                cols.shape[1])
         sup = np.append(rows * p + (rot - rots[rows, slots]) % p,
                         (k0 + ki) * p + rot)
-        bits = odd_bits(qc_map(s_t, sup, p), prm.n).reshape(n0, p)
-        bits ^= ones[i][:, None]
-        words[i] = pack_blocks(bits)
-    return PublicKey(prm, words)
+        scrambled = qc_map(s_t, sup, p)
+        if ends and sorts_faster(scrambled.size, prm.n):
+            odd = odd_positions(scrambled)
+            bits = np.zeros(prm.n, dtype=bool)
+            bits[odd.astype(np.intp)] = True
+        else:
+            odd, bits = None, odd_bits(scrambled, prm.n)
+        if odd is not None and ends[-1] + odd.size <= fits:
+            sparse[ends[-1]:ends[-1] + odd.size] = odd
+            ends.append(ends[-1] + odd.size)
+        else:
+            ends = []
+        words[i] = pack_blocks(bits.reshape(n0, p))
+        words[i, ones[i]] ^= all_ones
+    pk = PublicKey(prm, words)
+    if ends:
+        pk.sparse_rows = (ones, ends, sparse[:ends[-1]])
+    return pk
 
 
 # ---------------------------------------------------------------------------

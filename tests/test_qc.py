@@ -10,6 +10,7 @@ from helpers import (BitPoly, GenPermutation, QcMatrix, dense_eye,
                      qc_mul, qc_vec_mul, support_to_int, transpose_int)
 from ledasig.errors import DimensionError, NotInvertible, Singular
 from ledasig.qc import (SparseVector, dense_invert, inverse_int, odd_bits,
+                        odd_positions,
                         qc_map)
 
 
@@ -330,4 +331,19 @@ def test_odd_bits_is_count_parity(m, n):
     bits = odd_bits(pos, n)
     assert bits.dtype == bool and bits.shape == (n,)
     assert np.array_equal(bits, np.bincount(pos, minlength=n) % 2 == 1)
+    assert np.array_equal(pos, before)
+
+
+# the same draws; 40 and 3000 positions over at most 11 and 50 values
+# leave runs of three and more equal positions
+@pytest.mark.parametrize("m, n", [(0, 50), (1, 50), (12, 1000),
+                                  (200, 10**5), (40, 50), (3000, 50)])
+def test_odd_positions_are_the_set_odd_bits(m, n):
+    rng = np.random.default_rng(m)
+    pos = rng.integers(0, min(n, 1 + m // 4), size=m)
+    before = pos.copy()
+    odd = odd_positions(pos)
+    assert odd.dtype == np.int32
+    counts = np.bincount(pos, minlength=n)
+    assert np.array_equal(odd, np.flatnonzero(counts % 2))
     assert np.array_equal(pos, before)
