@@ -40,7 +40,7 @@ import numpy as np
 
 from .drbg import Xof, shuffle_rows
 from .errors import DimensionError, NotInvertible, Singular
-from .packed import PackedQc
+from .packed import PackedQc, index_cap
 from .params import SysParams
 from .qc import (PackedVector, dense_invert, inverse_shifts, odd_bits,
                  odd_positions, pack_blocks, padding_clear, qc_map,
@@ -114,14 +114,16 @@ class PrivateKey:
 class PublicKey:
     """H' as its wire payload, read-only: words[i, j] is block (i, j).
 
-    sparse_rows is what build_public_key hands to the packed key: each
-    block's all-ones flag and sparse part (see packed.PackedQc).  It is
-    None for a decoded key, and dropped once the packed key is built.
+    sparse_rows is what build_public_key hands to the packed key: the
+    blocks' all-ones flags and sparse parts as packed's sparse rows.  It
+    is None for a decoded key; building the packed key rewrites its
+    positions into the product's index in place.
     """
 
     params: SysParams
     words: np.ndarray          # (r0, n0, ceil(p/64)) '<u8'
-    sparse_rows: tuple | None = field(default=None, init=False, repr=False)
+    sparse_rows: tuple | None = field(default=None, compare=False,
+                                      repr=False)
 
     def __post_init__(self):
         prm = self.params
@@ -133,8 +135,7 @@ class PublicKey:
 
     @cached_property
     def packed(self) -> PackedQc:
-        rows, self.sparse_rows = self.sparse_rows, None
-        return PackedQc(self.words, self.params.p, rows)
+        return PackedQc(self.words, self.params.p, self.sparse_rows)
 
     def __eq__(self, other):
         return (isinstance(other, PublicKey) and self.params == other.params
@@ -285,14 +286,12 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
     all_ones = pack_blocks(np.ones(p, dtype=bool))
     # each row's odd positions are its blocks' sparse parts; they are kept
-    # for the packed key while they fit an int32 index no larger than the
-    # words, its rule for the sparse product.  Row i scrambles one support
-    # bit per entry of V in block column ki, plus one, into one position
-    # per column of S^-T's table, so all rows hold at most
+    # for the packed key while they fit its index cap.  Row i scrambles
+    # one support bit per entry of V in block column ki, plus one, into
+    # one position per column of S^-T's table, so all rows hold at most
     # (cols.size + r0) * len(e_inv) of them.
-    fits = words.nbytes // 4
-    sparse = np.empty(min(fits, (cols.size + r0) * s_t[0].shape[1]),
-                      dtype=np.int32)
+    most = (cols.size + r0) * s_t[0].shape[1]
+    sparse = np.empty(min(index_cap(words), most), dtype=np.int32)
     ends = [0]
     for i, ((ki,), (rot,)) in enumerate(zip(*sk.m_map)):
         # first row of block row i of M^T H: one coefficient per block
@@ -307,17 +306,15 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
             bits[odd.astype(np.intp)] = True
         else:
             odd, bits = None, odd_bits(scrambled, prm.n)
-        if odd is not None and ends[-1] + odd.size <= fits:
+        if odd is not None and ends[-1] + odd.size <= sparse.size:
             sparse[ends[-1]:ends[-1] + odd.size] = odd
             ends.append(ends[-1] + odd.size)
         else:
             ends = []
         words[i] = pack_blocks(bits.reshape(n0, p))
         words[i, ones[i]] ^= all_ones
-    pk = PublicKey(prm, words)
-    if ends:
-        pk.sparse_rows = (ones, ends, sparse[:ends[-1]])
-    return pk
+    return PublicKey(prm, words,
+                     (ones, ends, sparse[:ends[-1]]) if ends else None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ of H' * sigma^T is
 
 Regime rule.  A key takes the sparse product when an int32 index of its
 sparse parts takes no more bytes than its words, 4 * sum |s_ij| <=
-words.nbytes, i.e. when the mean |s_ij| is at most 2 ceil(p/64).  Both
-sides are known from popcounts and the rule has no tuned constant.  Of
+words.nbytes (index_cap), i.e. when the mean |s_ij| is at most 2 ceil(p/64).
+Both sides are known from popcounts and the rule has no tuned constant.  Of
 the nine instances it picks b6, beta3, c6 and gamma3; the other five,
 and any key whose blocks are not flag plus sparse (a random matrix has
 |s_ij| near p/2), take the residue comb.
@@ -36,8 +36,11 @@ it.  The flags enter as one small 0/1 matrix-parity product.  The index
 by_col stores each term's row in its chunk's table as an int32,
 (j mod C) * 64 L + (c mod 64) * L + c // 64 with L = 2 ceil(p/64) + 1
 and C columns per chunk; starts[i, j] is where block (i, j)'s terms
-begin, in (i, j, c) order.  A fresh key's sparse rows come from
-build_public_key; a decoded key's are read off the words once.
+begin, in (i, j, c) order.  Every key reaches it from one form, its
+sparse rows (flags, ends, pos): pos[ends[i]:ends[i + 1]] holds block row
+i's positions j p + c, ascending int32, and one rewrite turns them into
+records in place.  build_public_key hands a fresh key's rows over; a
+decoded key's are read off its words.
 
 Residue comb.  A set bit of sigma at offset t inside block j enters as
 x^((-t) mod p), since sum_j T(h_ij) v_j = T(sum_j h_ij T(v_j)); it adds
@@ -72,8 +75,8 @@ COUNTERS = {"syndrome_products": 0}
 _TABLE_BYTES = 1 << 20
 _FOLD_ROWS = 64
 
-# key words that one pass of reading a decoded key's index unpacks, which
-# bounds its temporaries to a few MiB
+# key words that one pass of reading a decoded key's sparse rows unpacks,
+# which bounds its temporaries to a few MiB
 _EXTRACT_WORDS = 1 << 15
 
 
@@ -140,82 +143,78 @@ def _chunk_terms(p, nw):
             + in_block).ravel()
 
 
-def _index_from_rows(rows, p, nw):
-    """(flags, starts, index) from build_public_key's sparse rows, or None
-    when some s_ij is not the lighter side of its block.
+def index_cap(words):
+    """The regime rule: most int32 terms whose index fits words.nbytes."""
+    return words.nbytes // 4
 
-    rows is (flags, ends, pos): pos[ends[i]:ends[i + 1]] holds block row
-    i's odd positions j*p + c ascending, as int32; pos is rewritten into
-    the index in place.
-    """
+
+def _index_from_rows(rows, blocks, p):
+    """(flags, starts, index) from sparse rows (module docstring), or None
+    when rows is None, breaks the regime rule or holds some s_ij that is
+    not the lighter side of its block; pos becomes the index in place."""
+    if rows is None:
+        return None
     flags, ends, pos = rows
+    if pos.size > index_cap(blocks):
+        return None
     r0, n0 = flags.shape
     edges = np.arange(n0 + 1, dtype=np.int32) * p
     starts = np.empty((r0, n0 + 1), dtype=np.int64)
-    for i in range(r0):
-        starts[i] = ends[i] + np.searchsorted(pos[ends[i]:ends[i + 1]], edges)
-    if (2 * np.diff(starts, axis=1) >= p).any():
-        return None
-    terms = _chunk_terms(p, nw)
-    local = np.empty(max(np.diff(ends), default=0), dtype=np.int32)
+    terms = _chunk_terms(p, blocks.shape[-1])
     for i in range(r0):
         row = pos[ends[i]:ends[i + 1]]
-        np.remainder(row, terms.size, out=local[:row.size])
-        np.take(terms, local[:row.size], out=row)
+        starts[i] = ends[i] + np.searchsorted(row, edges)
+        np.take(terms, row % terms.size, out=row)
+    if (2 * np.diff(starts, axis=1) >= p).any():
+        return None
     return flags.astype(np.uint8), starts, pos
 
 
-def _extract_index(blocks, p):
-    """(flags, starts, index) read off the words, or None for the comb."""
+def _rows_from_words(blocks, p):
+    """Sparse rows read off the words, each s_ij the lighter side of its
+    block, or None when they break the regime rule."""
     r0, n0, nw = blocks.shape
     weights = np.bitwise_count(blocks).sum(axis=-1, dtype=np.int64)
     flags = 2 * weights > p
     counts = np.where(flags, p - weights, weights)
-    if 4 * int(counts.sum()) > blocks.nbytes:
+    ends = np.zeros(r0 + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=1), out=ends[1:])
+    if ends[-1] > index_cap(blocks):
         return None
-    starts = np.zeros(r0 * n0 + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    index = np.empty(starts[-1], dtype=np.int32)
-    ones = np.full(nw, ~np.uint64(0))
-    ones[-1] >>= np.uint64(64 * nw - p)
-    big_l, cols = 2 * nw + 1, _chunk_columns(nw)
-    # the entry of bit 0 of word q of block j; bit b adds b * L
-    word_base = ((np.arange(n0, dtype=np.int32) % cols)[:, None] * (64 * big_l)
-                 + np.arange(nw, dtype=np.int32)).ravel()
+    pos = np.empty(ends[-1], dtype=np.int32)
+    ones = pack_blocks(np.ones(p, dtype=bool))
+    # the position of bit 0 of word q of block j, less one: bit b of a
+    # word is its lowest set bit when popcount(w ^ (w - 1)) = b + 1
+    word_base = (np.arange(n0, dtype=np.int32)[:, None] * p
+                 + np.arange(0, 64 * nw, 64, dtype=np.int32)).ravel() - 1
     step = max(1, _EXTRACT_WORDS // (n0 * nw))
     for i0 in range(0, r0, step):
-        rows = min(step, r0 - i0)
-        sparse = blocks[i0:i0 + rows].copy()
-        np.bitwise_xor(sparse, ones, out=sparse,
-                       where=flags[i0:i0 + rows, :, None])
+        i1 = min(i0 + step, r0)
+        sparse = blocks[i0:i1].copy()
+        np.bitwise_xor(sparse, ones, out=sparse, where=flags[i0:i1, :, None])
         sparse = sparse.ravel()
         # each word's bits go to consecutive slots from its first; with
         # the words ordered by falling bit count, those with at least t
         # bits are a prefix, and pass t writes the t-th lowest bit of each
         bit_counts = np.bitwise_count(sparse)
-        slot = bit_counts.astype(np.int32)
-        np.cumsum(slot, out=slot)
-        slot -= bit_counts
-        slot += starts[i0 * n0]
+        slot = np.cumsum(bit_counts, dtype=np.int64) - bit_counts + ends[i0]
         most = int(bit_counts.max())
         if not most:
             continue
         order = np.concatenate(
             [np.flatnonzero(bit_counts == t) for t in range(most, 0, -1)])
         words, slot = sparse[order], slot[order]
-        base = np.tile(word_base, rows)[order] - big_l
+        base = np.tile(word_base, i1 - i0)[order]
         at_least = np.cumsum(np.bincount(bit_counts)[:0:-1])[::-1]
         for live in at_least.tolist():
             w = words[:live]
             below = w - np.uint64(1)
             entry = np.bitwise_count(w ^ below).astype(np.int32)
             w &= below
-            entry *= big_l
             entry += base[:live]
-            index[slot[:live]] = entry
+            pos[slot[:live]] = entry
             slot[:live] += 1
-    starts = np.column_stack((starts[:-1].reshape(r0, n0), starts[n0::n0]))
-    return flags.astype(np.uint8), starts, index
+    return flags, ends.tolist(), pos
 
 
 def _xor_rows(rows):
@@ -284,8 +283,8 @@ class PackedQc:
     key holds by_col as the word-major key, row j block column j as a
     (words, rows_blocks) array, and flags is None.
 
-    rows, when given, is build_public_key's (flags, ends, positions) of
-    the blocks' sparse parts; the positions array becomes the index.
+    rows, when given, is build_public_key's sparse rows of the blocks
+    (module docstring); their positions array becomes the index.
     """
 
     # read by the benchmark harness, which records the backend
@@ -297,9 +296,9 @@ class PackedQc:
         self.p = p
         # blocks itself, not a copy; the benchmark harness sizes the key by it
         self.by_row = blocks
-        index = None if rows is None else _index_from_rows(rows, p, nw)
+        index = _index_from_rows(rows, blocks, p)
         if index is None:
-            index = _extract_index(blocks, p)
+            index = _index_from_rows(_rows_from_words(blocks, p), blocks, p)
         if index is None:
             self.flags = self.starts = None
             self.by_col = np.ascontiguousarray(blocks.transpose(1, 2, 0))

@@ -392,7 +392,7 @@ def test_criterion_8_soft_timing(material):
     keygen_s = time.perf_counter() - t0
     msg = b"timing message"
     sig = sign(sk, msg)
-    verify(pk, msg, sig)    # warm the packed cache and jit
+    verify(pk, msg, sig)    # warm the packed cache
     t0 = time.perf_counter()
     for _ in range(10):
         sig = sign(sk, msg)

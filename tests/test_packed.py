@@ -178,11 +178,18 @@ def _same_index(a, b):
                for name in ("flags", "starts", "by_col"))
 
 
+def _same_rows(a, b):
+    """Two keys' sparse rows (flags, ends, positions) are the same."""
+    return (np.array_equal(a[0], b[0]) and list(a[1]) == list(b[1])
+            and np.array_equal(a[2], b[2]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_product_matches_dense_oracle(data):
     # synthetic flag-plus-sparse keys at small p against the dense oracle;
-    # the index read off the words equals the one from handed-over rows
+    # the rows read off the words are the handed-over rows, and the index
+    # read off the words equals the one from handed-over rows
     p = data.draw(st.integers(3, 200), label="p")
     rb = data.draw(st.integers(1, 3), label="rb")
     cb = data.draw(st.integers(rb + 1, 5), label="cb")
@@ -190,7 +197,9 @@ def test_sparse_product_matches_dense_oracle(data):
                               rb, cb, p, _comb_edges(p))
     pq = PackedQc(words, p)
     assert pq.flags is not None and not pq.by_col.flags.writeable
-    assert _same_index(pq, PackedQc(words, p, _rows_of(words, p)))
+    rows = _rows_of(words, p)
+    assert _same_rows(packed._rows_from_words(words, p), rows)
+    assert _same_index(pq, PackedQc(words, p, rows))
     dense = words_to_qc(words, p).to_dense_rows()
     sup = tuple(sorted(data.draw(
         st.sets(st.integers(0, cb * p - 1), max_size=cb * p), label="sup")))
@@ -215,6 +224,34 @@ def test_rows_that_are_not_the_lighter_side_are_read_off_the_words():
     assert _same_index(pq, PackedQc(words, p))
 
 
+@pytest.mark.parametrize("p", [13, 130])
+def test_regime_rule_at_its_edge(p):
+    # sum min(wt, p - wt) = words.nbytes / 4 takes the sparse product,
+    # from handed-over rows and from the words alike; one more sparse
+    # bit takes the comb from both
+    rng = random.Random(p)
+    rb, cb, nw = 2, 3, (p + 63) // 64
+    sparse = np.zeros((rb, cb, p), dtype=bool)
+    for part in sparse.reshape(-1, p):
+        part[rng.sample(range(p), 2 * nw)] = True
+    flags = np.array([[rng.random() < 0.5 for _ in range(cb)]
+                      for _ in range(rb)])
+    sups = [(), tuple(range(cb * p))] + [
+        tuple(sorted(rng.sample(range(cb * p), k)))
+        for k in (1, 5, cb * p // 4)]
+    for extra in (False, True):
+        if extra:
+            sparse[0, 0, np.flatnonzero(~sparse[0, 0])[0]] = True
+        words = pack_blocks(sparse ^ flags[..., None])
+        assert 4 * int(sparse.sum()) == words.nbytes + 4 * extra
+        dense = words_to_qc(words, p).to_dense_rows()
+        for pq in (PackedQc(words, p), PackedQc(words, p, _rows_of(words, p))):
+            assert (pq.flags is None) == extra
+            for sup in sups:
+                assert pq.mul_support(sup) == dense_vec_mul(
+                    dense, SparseVector(cb * p, sup).to_int())
+
+
 def test_random_wide_key_takes_the_comb():
     # an unstructured key of gamma3's shape has parts near p/2 per block:
     # its index would outweigh its words, so it keeps the word-major key
@@ -232,10 +269,14 @@ def test_random_wide_key_takes_the_comb():
 
 @pytest.fixture(scope="module")
 def instance_keys():
+    # handed is a copy of the fresh key's sparse rows, or None: packing
+    # the key rewrites its own rows into the index
     keys = {}
     for name, prm in INSTANCES.items():
         sk, pk = keypair_from_seed(bytes(range(prm.seed_bytes)), prm)
-        handed = pk.sparse_rows is not None
+        rows = pk.sparse_rows
+        handed = None if rows is None else (
+            rows[0].copy(), list(rows[1]), rows[2].copy())
         keys[name] = (sk, pk, handed, decode_public_key(encode_public_key(pk)))
     return keys
 
@@ -247,10 +288,19 @@ def test_regime_rule_picks_the_wide_instances(instance_keys):
     for name, (_, pk, handed, decoded) in instance_keys.items():
         assert (pk.packed.flags is not None) == (name in sparse), name
         assert (decoded.packed.flags is not None) == (name in sparse), name
-        assert handed == (name in sparse), name
+        assert (handed is not None) == (name in sparse), name
         if name in sparse:
             assert pk.packed.by_col.nbytes <= pk.words.nbytes
             assert _same_index(pk.packed, decoded.packed), name
+
+
+@pytest.mark.parametrize("name", ["b6", "beta3", "c6", "gamma3"])
+def test_decoded_words_read_as_the_handed_rows(instance_keys, name):
+    # one form: a decoded key's words read as the rows its fresh key
+    # handed over
+    _, pk, handed, decoded = instance_keys[name]
+    read = packed._rows_from_words(decoded.words, pk.params.p)
+    assert _same_rows(read, handed)
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))

@@ -2,8 +2,9 @@
 
 perfbench/run.py and perfbench/tracer.py read library attributes by name
 (PackedQc.by_row, by_col, rows_blocks, words, use_numba, packed.COUNTERS
-and _HAVE_NUMBA among them); one short traced run of each workload but
-gamma3-warm catches a library change that breaks them.  a3-warm covers
+and _HAVE_NUMBA among them); a check of those names catches a library
+change that breaks them in well under a second, and one short traced run
+of each workload but gamma3-warm catches what it misses.  a3-warm covers
 the warm sign and verify loop.  b6-cold is the only workload that decodes
 a public key and reads its packed key's use_numba, and that expands an
 at-rest private key (codec.expand_private_key_only) and encodes a public
@@ -16,6 +17,11 @@ import json
 import os
 import subprocess
 import sys
+
+import numpy as np
+
+from ledasig import packed
+from ledasig.packed import PackedQc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,6 +45,26 @@ def _traced_run(workload):
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_harness_names_exist():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    for owner, attr, *_ in tracer._instrumented():
+        assert attr in owner.__dict__, (owner, attr)
+    # a random key takes the comb and an all-zero one the sparse product
+    narrow = PackedQc(np.random.default_rng(0).integers(
+        0, 2**64, (2, 3, 1), dtype=np.uint64), 64)
+    wide = PackedQc(np.zeros((2, 3, 1), dtype=np.uint64), 64)
+    assert narrow.flags is None and wide.flags is not None
+    for pq in (narrow, wide):
+        for name in ("by_row", "by_col", "rows_blocks", "words", "use_numba"):
+            assert hasattr(pq, name), name
+    assert hasattr(packed, "_HAVE_NUMBA")
+    assert "syndrome_products" in packed.COUNTERS
 
 
 def test_traced_a3_run():
