@@ -8,18 +8,19 @@ and the statistical key-recovery lifetime bound based on bit-pair
 coincidence counting.
 
 Binomials of size C(~30000, ~900) appear throughout, so probabilities
-are carried as log2 values and sums use max-shifted exponential sums.
-Each quantity has one form: every hypergeometric parity probability is
-_parity_sum (one marked set) or _pair_parity_sum (two disjoint marked
-sets), every AND / XOR step is _overlap_fold, and sia_wf is the one
-SIA evaluation.
+are carried as log2 values, and every log2-domain sum is a left fold of
+np.logaddexp2, np.logaddexp2.reduce: over a sequence in log2_sum, or
+along an array axis. Each quantity has one form: every hypergeometric
+parity probability is _parity_sum (one marked set) or _pair_parity_sum
+(two disjoint marked sets), every AND / XOR step is _overlap_fold, and
+sia_wf is the one SIA evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,16 +34,6 @@ _cache = lru_cache(maxsize=None)
 
 # ---------------------------------------------------------------------------
 # log-domain basics
-
-
-def log2_binom(n: float, k: float) -> float:
-    """log2 C(n, k); exact integer arithmetic for n <= 64."""
-    if k < 0 or k > n:
-        raise ValueError(f"binomial C({n}, {k}) undefined")
-    if float(n).is_integer() and n <= 64:
-        return math.log2(math.comb(int(n), int(round(k))))
-    return (math.lgamma(n + 1) - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)) / LN2
 
 
 def _lb(n: float, k: float) -> float:
@@ -72,41 +63,17 @@ def _lb_array(n, k) -> np.ndarray:
 
 
 def _map(f, a) -> np.ndarray:
-    """The scalar f over an array's entries. numpy's SIMD exp2, log2 and
-    expm1 round differently from libm on some inputs."""
+    """The scalar f over an array's entries. numpy's SIMD log2 and expm1
+    round differently from libm on some inputs."""
     return np.fromiter(map(f, a.ravel().tolist()), np.float64,
                        a.size).reshape(a.shape)
 
 
 def log2_sum(values) -> float:
-    """log2 of a sum of 2^v terms, max-shifted for stability."""
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
-        return NEG_INF
-    m = max(vals)
-    # a left fold: Python >= 3.12's sum() compensates, which would move
-    # the last bits; numpy terms would make the result np.float64
-    total = 0.0
-    for v in vals:
-        total += 2.0 ** (v - m)
-    return float(m + math.log2(total))
-
-
-@np.errstate(invalid="ignore")
-def _log2_sum_rows(v: np.ndarray) -> np.ndarray:
-    """log2_sum along the last axis, bit for bit: the same max shift, and
-    the terms added left to right."""
-    live = v != NEG_INF
-    rows = live.any(axis=-1)
-    m = np.max(v, axis=-1)
-    terms = np.zeros(v.shape)
-    terms[live] = _map(partial(pow, 2.0), (v - m[..., None])[live])
-    total = np.zeros(m.shape)
-    for col in np.moveaxis(terms, -1, 0):
-        total = total + col
-    out = np.full(m.shape, NEG_INF)
-    out[rows] = m[rows] + _map(math.log2, total[rows])
-    return out
+    """log2 of a sum of 2^v terms: np.logaddexp2.reduce, the left fold
+    that the array sums take along an axis. logaddexp2(-inf, t) is t, so
+    -inf terms add nothing, bit for bit."""
+    return float(np.logaddexp2.reduce(np.fromiter(values, np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +283,8 @@ class SignatureSpace:
 
 
 def signature_space(params: SysParams) -> SignatureSpace:
-    ns = log2_binom(params.r, params.w) - params.z
-    awc = log2_binom(params.k, params.m_g)
+    ns = _lb(params.r, params.w) - params.z
+    awc = _lb(params.k, params.m_g)
     return SignatureSpace(ns, awc, ns / 2.0, ns / 3.0)
 
 
@@ -369,11 +336,9 @@ def _parity_sum(n_pool: int, ones: int, draws: int, parity: int) -> float:
     if draws < 0:
         return 0.0 if parity else 1.0
     denom = _lb(n_pool, draws)
-    total = NEG_INF
-    for i in range(parity, min(ones, draws) + 1, 2):
-        total = np.logaddexp2(
-            total, _lb(ones, i) + _lb(n_pool - ones, draws - i) - denom)
-    return float(2.0 ** total) if total != NEG_INF else 0.0
+    terms = (_lb(ones, i) + _lb(n_pool - ones, draws - i) - denom
+             for i in range(parity, min(ones, draws) + 1, 2))
+    return 2.0 ** log2_sum(terms)
 
 
 def _codeword_row_parities(params: SysParams) -> tuple[float, float, float]:
@@ -418,8 +383,9 @@ def _p_i_ge_j(n: int, ell: int, wlw, p_i, p_j):
                             + (ell - x) * _map(_safe_log2, 1 - p)
                             for p in (p_i, p_j))
     # P[an I-bit is set >= x + 1 times], x = 0..ell
-    tail = _log2_sum_rows(
-        np.where(x[:, None] < x[1:], pi_counts[..., None, 1:], NEG_INF))
+    tail = np.logaddexp2.reduce(
+        np.where(x[:, None] < x[1:], pi_counts[..., None, 1:], NEG_INF),
+        axis=-1)
     # all I-bits set >= x + 1 times, one exactly x + 1: the log2 of
     # 2^(wlw*hi) - 2^(wlw*lo), with -inf where it rounds to <= 0 ...
     hi, lo = tail[..., :-1], tail[..., 1:]
@@ -427,12 +393,13 @@ def _p_i_ge_j(n: int, ell: int, wlw, p_i, p_j):
     near = ~((lo == NEG_INF) | (gap < -60))
     pi_ge[near] += _map(_safe_log2, -_map(math.expm1, gap[near] * LN2))
     # ... and all J-bits set <= x times, x = 0..ell - 1
-    cdf = _log2_sum_rows(
-        np.where(x[:-1, None] >= x[:-1], pj_counts[..., None, :-1], NEG_INF))
+    cdf = np.logaddexp2.reduce(
+        np.where(x[:-1, None] >= x[:-1], pj_counts[..., None, :-1], NEG_INF),
+        axis=-1)
     scaled = (n - wlw) * cdf
     pj_le = np.where(cdf == NEG_INF, NEG_INF,
                      np.where(scaled < 0.0, scaled, 0.0))
-    return _log2_sum_rows(pj_le + pi_ge)[()]
+    return np.logaddexp2.reduce(pj_le + pi_ge, axis=-1)[()]
 
 
 def p_and_intersection(params: SysParams, ell: int, w_l: int) -> float:
@@ -525,13 +492,12 @@ def _pair_parity_sum(pool: int, ones: int, draws: int, parity: int) -> float:
     """P[two disjoint marked sets of `ones` elements each both hold a count
     of the given parity among `draws` drawn from `pool`], hypergeometric."""
     rest = pool - 2 * ones
-    denom = _lb(pool, draws)
-    total = NEG_INF
-    for l in range(parity, ones + 1, 2):
-        for u in range(parity, ones + 1, 2):
-            total = np.logaddexp2(total, _lb(ones, l) + _lb(ones, u)
-                                  + _lb(rest, draws - l - u) - denom)
-    return float(2.0 ** total)
+    # the (l, u) terms in l-major order, as a double loop takes them
+    u = np.arange(parity, ones + 1, 2)
+    l = u[:, None]
+    terms = (_lb_array(ones, l) + _lb_array(ones, u)
+             + _lb_array(rest, draws - l - u) - _lb(pool, draws))
+    return 2.0 ** log2_sum(terms.ravel())
 
 
 def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:

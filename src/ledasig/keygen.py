@@ -117,7 +117,8 @@ class PublicKey:
     sparse_rows is what build_public_key hands to the packed key: the
     blocks' all-ones flags and sparse parts as packed's sparse rows.  It
     is None for a decoded key; building the packed key rewrites its
-    positions into the product's index in place.
+    positions into the product's read-only index in place, and a later
+    PackedQc given them reads the words instead.
     """
 
     params: SysParams

@@ -151,8 +151,10 @@ def index_cap(words):
 def _index_from_rows(rows, blocks, p):
     """(flags, starts, index) from sparse rows (module docstring), or None
     when rows is None, breaks the regime rule or holds some s_ij that is
-    not the lighter side of its block; pos becomes the index in place."""
-    if rows is None:
+    not the lighter side of its block; pos becomes the index in place.
+    A read-only pos is an index an earlier PackedQc has already made of
+    these rows, no longer positions, so it counts as absent too."""
+    if rows is None or not rows[2].flags.writeable:
         return None
     flags, ends, pos = rows
     if pos.size > index_cap(blocks):

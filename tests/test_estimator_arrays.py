@@ -2,7 +2,7 @@
 bit for bit, on random small shapes and on the nine instances and the toy
 shapes."""
 
-import math
+import functools
 
 import numpy as np
 import pytest
@@ -104,13 +104,19 @@ def test_lca_steps_equal_per_x_loop(prm):
 # summation order and caches
 
 
-def test_log2_sum_is_a_left_fold():
-    # 1 + 2^-53 + 2^-53: a left fold rounds back to 1 twice, a compensated
-    # sum (Python >= 3.12's sum(), math.fsum) keeps 1 + 2^-52
-    values = [0.0, -53.0, -53.0]
-    assert math.log2(math.fsum(2.0 ** v for v in values)) > 0.0
-    assert log2_sum(values) == 0.0
-    assert log2_sum(np.array(values)) == 0.0
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_log2_sum_is_a_left_fold(data):
+    # log2_sum folds np.logaddexp2 left to right, as its reduce does along
+    # an array axis; the -inf holes add nothing, bit for bit
+    row = _log2_dist(data.draw, data.draw(st.integers(1, 12)))
+    expected = functools.reduce(np.logaddexp2, row.tolist(), NEG_INF)
+    assert np.logaddexp2.reduce(row) == expected
+    assert log2_sum(row) == expected
+    assert log2_sum(v for v in row.tolist() if v != NEG_INF) == expected
+    assert type(log2_sum(row)) is float
+    # 1 + 2^-53 + 2^-53: no term is absorbed by a larger one's rounding
+    assert log2_sum([0.0, -53.0, -53.0]) > 0.0
 
 
 def test_no_cache_but_iterated_and_dist():

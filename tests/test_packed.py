@@ -303,6 +303,19 @@ def test_decoded_words_read_as_the_handed_rows(instance_keys, name):
     assert _same_rows(read, handed)
 
 
+@pytest.mark.parametrize("name", ["b6", "gamma3"])
+def test_second_packed_key_from_rewritten_rows_reads_the_words(instance_keys,
+                                                                 name):
+    # pk.packed has rewritten the handed rows into its read-only index; a
+    # second PackedQc given those rows reads the words instead
+    sk, pk, _, _ = instance_keys[name]
+    first = pk.packed
+    second = PackedQc(pk.words, pk.params.p, pk.sparse_rows)
+    assert _same_index(first, second)
+    sup = sign(sk, b"second key", rng=Xof(b"second key")).sigma.positions()
+    assert second.mul_support(sup) == first.mul_support(sup)
+
+
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_fresh_and_decoded_products_equal_the_comb(instance_keys, name):
     sk, pk, _, decoded = instance_keys[name]
