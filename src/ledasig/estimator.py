@@ -12,8 +12,9 @@ are carried as log2 values, and every log2-domain sum is a left fold of
 np.logaddexp2, np.logaddexp2.reduce: over a sequence in log2_sum, or
 along an array axis. Each quantity has one form: every hypergeometric
 parity probability is _parity_sum (one marked set) or _pair_parity_sum
-(two disjoint marked sets), every AND / XOR step is _overlap_fold, and
-sia_wf is the one SIA evaluation.
+(two disjoint marked sets), every AND / XOR step is _overlap_fold,
+sia_wf is the one SIA evaluation, and _stern_wf is the one quantum Stern
+cost, an array over (l, j) that quantum_stern_wf scans whole.
 """
 
 from __future__ import annotations
@@ -150,72 +151,57 @@ class IsdTarget:
     qc_order: int | None = None    # circulant size, for the sqrt(p) speedup
 
 
-def stern_success_log2(n: int, k: int, w: int, sp: SternParams) -> float:
-    """log2 of the per-iteration success probability of Stern's algorithm."""
-    l, j = sp.l, sp.j
-    num = (_lb(w, 2 * j) + _lb(n - w, k - 2 * j) + _lb(2 * j, j)
-           + _lb(n - k - w + 2 * j, l))
-    den = 2 * j + _lb(n, k) + _lb(n - k, l)
-    if num == NEG_INF or den == NEG_INF:
-        return NEG_INF
-    return min(num - den, 0.0)
-
-
-def _stern_iteration_cost_log2(n: int, k: int, sp: SternParams) -> float:
-    """log2 of c_it + c_inv for one (reversible) Stern iteration."""
-    l, j = sp.l, sp.j
-    half_k = k / 2.0
-    c_inv = math.log2(0.5 * (n - k) ** 3 + k * (n - k) ** 2)
-    terms = [c_inv]
-    if j > 0:
-        lbkj = _lb(half_k, j)
-        if l > 0:
-            terms.append(math.log2(2 * l * j) + lbkj)
-        terms.append(math.log2(2 * j * (n - k)) + 2 * lbkj - l)
-    return log2_sum(terms)
-
-
 _P_INV_LOG2 = math.log2(0.29)
 _GROVER_PREFACTOR_LOG2 = math.log2(math.pi / 4.0)
 
 
-def _stern_wf_at(n: int, k: int, w: int, sp: SternParams) -> float:
-    pe = stern_success_log2(n, k, w, sp)
-    if pe == NEG_INF:
-        return math.inf
+@np.errstate(invalid="ignore")
+def _stern_wf(n: int, k: int, w: int, l, j) -> np.ndarray:
+    """log2 Grover-Stern cost over the broadcast integer arrays l and j:
+    pi/4 * sqrt(1 / (p_inv * p_e)) iterations of cost c_it + c_inv, and
+    inf where the per-iteration success probability p_e is 0."""
+    l, j = np.asarray(l), np.asarray(j)
+    # p_e: 2j error bits in the information set, split j / j, none in
+    # the l-bit window
+    num = (_lb_array(w, 2 * j) + _lb_array(n - w, k - 2 * j)
+           + _lb_array(2 * j, j) + _lb_array(n - k - w + 2 * j, l))
+    den = 2 * j + _lb(n, k) + _lb_array(n - k, l)
+    pe = np.where((num == NEG_INF) | (den == NEG_INF), NEG_INF,
+                  np.minimum(num - den, 0.0))
+    # c_inv, then the list build and the collision checks of c_it
+    c_inv = math.log2(0.5 * (n - k) ** 3 + k * (n - k) ** 2)
+    lbkj = _lb_array(k / 2.0, j)
+    build = _map(_safe_log2, 2 * l * j) + lbkj
+    check = _map(_safe_log2, 2 * j * (n - k)) + 2 * lbkj - l
+    cost = np.logaddexp2.reduce(np.broadcast_arrays(c_inv, build, check))
     iters = _GROVER_PREFACTOR_LOG2 + 0.5 * (-_P_INV_LOG2 - pe)
-    return iters + _stern_iteration_cost_log2(n, k, sp)
+    return np.where(pe == NEG_INF, math.inf, iters + cost)
 
 
 def quantum_stern_wf(target: IsdTarget) -> tuple[float, SternParams]:
     """Grover-accelerated Stern cost, minimized over (l, j).
 
-    A coarse grid (j <= min(w/2, 40), l <= 120) is refined by hill
-    climbing with growing steps, so optima beyond the grid edge are
-    still found.
+    _stern_wf is evaluated on the whole box j <= min(w/2, 40),
+    l <= min(120, n - k), and argmin takes its first minimum in (j, l)
+    order. While that minimum lies on a bound that can still grow
+    (j up to w/2, l up to n - k), the bound doubles and the box is
+    evaluated again, so a minimum pressed against the first box's edge
+    is followed past it. A separate, lower basin beyond the box is not
+    searched for.
     """
     n, k, w = target.n, target.k, target.w_target
-    best = (math.inf, SternParams(0, 0))
-    for j in range(0, min(w // 2, 40) + 1):
-        for l in range(0, 121, 4):
-            wf = _stern_wf_at(n, k, w, SternParams(l, j))
-            if wf < best[0]:
-                best = (wf, SternParams(l, j))
-    improved = True
-    while improved:
-        improved = False
-        l0, j0 = best[1].l, best[1].j
-        for dl in (-64, -16, -4, -1, 1, 4, 16, 64):
-            for dj in (-2, -1, 0, 1, 2):
-                l, j = l0 + dl, j0 + dj
-                if l < 0 or j < 0 or 2 * j > w or l > n - k:
-                    continue
-                wf = _stern_wf_at(n, k, w, SternParams(l, j))
-                if wf < best[0] - 1e-12:
-                    best = (wf, SternParams(l, j))
-                    improved = True
-    wf = best[0] - _speedup_log2(target)
-    return wf, best[1]
+    j_max, l_max = min(w // 2, 40), min(120, n - k)
+    while True:
+        wf = _stern_wf(n, k, w, np.arange(l_max + 1),
+                       np.arange(j_max + 1)[:, None])
+        j, l = np.unravel_index(np.argmin(wf), wf.shape)
+        grow_j, grow_l = j == j_max < w // 2, l == l_max < n - k
+        if not (grow_j or grow_l):
+            break
+        j_max = min(2 * j_max, w // 2) if grow_j else j_max
+        l_max = min(2 * l_max, n - k) if grow_l else l_max
+    return (float(wf[j, l]) - _speedup_log2(target),
+            SternParams(int(l), int(j)))
 
 
 def _speedup_log2(target: IsdTarget) -> float:
@@ -638,7 +624,17 @@ def _safe_ln(x: float) -> float:
 def stat_lifetime(params: SysParams, security_exponent: float
                   ) -> tuple[int, int]:
     """(N_lambda, N_lambda_qc): largest signature counts keeping the
-    statistical attack success probability below 2^-lambda."""
+    statistical attack success probability below 2^-lambda.
+
+    The scan brackets only for a positive finite lambda and for m_S >= 2:
+    with m_S = 1 no scrambler column holds a pair, so the cover
+    probability is 0 at every N.
+    """
+    if not 0.0 < security_exponent < math.inf:
+        raise ValueError("lambda must be positive and finite, got "
+                         f"{security_exponent}")
+    if params.m_S < 2:
+        raise ValueError(f"the lifetime needs m_S >= 2, got m_S={params.m_S}")
     rhos = _pair_coincidence_probs(params)
     # both scans probe N = 1, 1024, 2048, ... before they part
     separation = lru_cache(maxsize=None)(

@@ -13,11 +13,13 @@ reproduce bit for bit; the written-out parity-sum loops, the SIA count
 tails, the one-point _p_i_ge_j and the scalar sia_wf and lca_wf built
 from these loops, which its array forms must reproduce bit for bit; and
 the full-range coincidence separation that its live-window sums must
-reproduce.  So do the one-draw-at-a-time samplers and factor generators
-that the batched Xof.below_each, gen_v, gen_s and gen_q must match byte
-for byte, the constant-weight encoding with its own swap loop that
-signer.cw_encode must match, and a salt search that hashes the whole
-message on every trial.
+reproduce; and the per-point Stern cost with its coarse grid and hill
+climb, whose answers the exhaustive (l, j) scan must reproduce.  So do
+the one-draw-at-a-time samplers and factor generators that the batched
+Xof.below_each, gen_v, gen_s and gen_q must match byte for byte, the
+constant-weight encoding with its own swap loop that signer.cw_encode
+must match, and a salt search that hashes the whole message on every
+trial.
 """
 
 import hashlib
@@ -31,9 +33,11 @@ from ledasig import toy_params
 from ledasig.drbg import Xof
 from ledasig.errors import DimensionError
 from ledasig.estimator import (LN2, NEG_INF, SiaEstimate, LcaEstimate,
-                               _LCA_MAX_COMBINATIONS, _SIA_MAX_COLLECTED,
-                               _bit_probabilities, _codeword_row_parities, _lb,
-                               _safe_log2, _sia_wf_at, log2_sum)
+                               SternParams, _GROVER_PREFACTOR_LOG2,
+                               _LCA_MAX_COMBINATIONS, _P_INV_LOG2,
+                               _SIA_MAX_COLLECTED, _bit_probabilities,
+                               _codeword_row_parities, _lb, _safe_log2,
+                               _sia_wf_at, _speedup_log2, log2_sum)
 from ledasig.errors import NotInvertible, Singular
 from ledasig.keygen import (PrivateKey, QFactors, SFactors, compute_d, gen_q,
                             gen_s, gen_v, q_correction_mask, sort_v_rows)
@@ -941,3 +945,64 @@ def coincidence_separation_full(params, collected: int,
     q_v = float(np.sum(pmf_max * -np.expm1(exponent)))
     rho_v = float(np.sum(pmf_max * np.exp(exponent)))
     return q_v, rho_v
+
+
+# ---------------------------------------------------------------------------
+# per-point Stern cost and its grid-plus-climb search
+
+
+def stern_success_log2_scalar(n: int, k: int, w: int, l: int, j: int) -> float:
+    """log2 of the per-iteration success probability of Stern's algorithm."""
+    num = (_lb(w, 2 * j) + _lb(n - w, k - 2 * j) + _lb(2 * j, j)
+           + _lb(n - k - w + 2 * j, l))
+    den = 2 * j + _lb(n, k) + _lb(n - k, l)
+    if num == NEG_INF or den == NEG_INF:
+        return NEG_INF
+    return min(num - den, 0.0)
+
+
+def stern_iteration_cost_log2_scalar(n: int, k: int, l: int, j: int) -> float:
+    """log2 of c_it + c_inv for one (reversible) Stern iteration."""
+    c_inv = math.log2(0.5 * (n - k) ** 3 + k * (n - k) ** 2)
+    terms = [c_inv]
+    if j > 0:
+        lbkj = _lb(k / 2.0, j)
+        if l > 0:
+            terms.append(math.log2(2 * l * j) + lbkj)
+        terms.append(math.log2(2 * j * (n - k)) + 2 * lbkj - l)
+    return log2_sum(terms)
+
+
+def stern_wf_scalar(n: int, k: int, w: int, l: int, j: int) -> float:
+    """estimator._stern_wf at one (l, j)."""
+    pe = stern_success_log2_scalar(n, k, w, l, j)
+    if pe == NEG_INF:
+        return math.inf
+    iters = _GROVER_PREFACTOR_LOG2 + 0.5 * (-_P_INV_LOG2 - pe)
+    return iters + stern_iteration_cost_log2_scalar(n, k, l, j)
+
+
+def quantum_stern_wf_climb(target) -> tuple[float, SternParams]:
+    """estimator.quantum_stern_wf as a step-4 grid over j <= min(w/2, 40),
+    l <= 120, refined by a greedy hill climb with growing steps."""
+    n, k, w = target.n, target.k, target.w_target
+    best = (math.inf, SternParams(0, 0))
+    for j in range(0, min(w // 2, 40) + 1):
+        for l in range(0, 121, 4):
+            wf = stern_wf_scalar(n, k, w, l, j)
+            if wf < best[0]:
+                best = (wf, SternParams(l, j))
+    improved = True
+    while improved:
+        improved = False
+        l0, j0 = best[1].l, best[1].j
+        for dl in (-64, -16, -4, -1, 1, 4, 16, 64):
+            for dj in (-2, -1, 0, 1, 2):
+                l, j = l0 + dl, j0 + dj
+                if l < 0 or j < 0 or 2 * j > w or l > n - k:
+                    continue
+                wf = stern_wf_scalar(n, k, w, l, j)
+                if wf < best[0] - 1e-12:
+                    best = (wf, SternParams(l, j))
+                    improved = True
+    return best[0] - _speedup_log2(target), best[1]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -177,3 +178,29 @@ def test_estimate_target_beyond_unique_decoding_radius(capsys):
 
 def test_estimate_requires_target():
     assert main(["estimate"]) == 2
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--instance", "a6", "--lambda", "-1"], "lambda"),
+    (["--instance", "a6", "--lambda", "0"], "lambda"),
+    (["--instance", "a6", "--lambda", "nan"], "lambda"),
+    (["--instance", "a6", "--lambda", "inf"], "lambda"),
+    (["--params", "n0=5,r0=2,p=7,z=1,m_S=1,w=1,w_g=3,m_g=1"], "m_S")],
+    ids=["lambda=-1", "lambda=0", "lambda=nan", "lambda=inf", "m_S=1"])
+def test_estimate_unbracketable_lifetime_is_usage_error(args, field):
+    # a lambda that is not positive and finite, or m_S = 1 (no pair in a
+    # scrambler column), gives a lifetime scan that never brackets and
+    # doubles N until memory runs out; it is refused before any scan, so
+    # a 1 GiB address-space cap is never reached
+    src = os.path.dirname(os.path.dirname(ledasig.__file__))
+    out = subprocess.run([sys.executable, "-m", "ledasig", "estimate", *args],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_cap_address_space,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2, out.stderr[-2000:]
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert field in out.stderr

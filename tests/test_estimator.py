@@ -5,27 +5,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (REPORT_PARAMS, SIATOY, and_weight_dist_loop,
                      binom_logpmfs_full, coincidence_separation_full,
                      count_tails, p_i_ge_j_scalar,
-                     pair_coincidence_probs_loops,
-                     signature_bit_probability_loop, xor_weight_dist_loop)
+                     pair_coincidence_probs_loops, quantum_stern_wf_climb,
+                     signature_bit_probability_loop, stern_wf_scalar,
+                     xor_weight_dist_loop)
 from ledasig import estimator, toy_params
-from ledasig.estimator import (IsdTarget,
-                               SternParams, and_weight_dist, bjmm_approx_wf,
+from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                decoding_attack_target, full_report,
+                               key_recovery_target,
                                lca_wf, log2_sum, p_and_intersection,
                                quantum_stern_wf,
                                sia_wf, signature_bit_probability,
                                signature_space,
-                               stat_lifetime, stern_success_log2,
+                               stat_lifetime,
                                unique_decoding_radius, xor_weight_dist,
                                _bit_probabilities, _codeword_row_parities,
                                _iterated_and_dist, _lb, _lb_array,
                                _p_i_ge_j, _sia_wf_at,
-                               _stern_wf_at, _GROVER_PREFACTOR_LOG2,
-                               _P_INV_LOG2, _stern_iteration_cost_log2,
+                               _stern_wf, _GROVER_PREFACTOR_LOG2,
+                               _P_INV_LOG2,
                                _LOG_PMF_CUT, _coincidence_separation,
                                _live_window, _pair_coincidence_probs,
                                _scan_max_count)
@@ -196,11 +199,23 @@ def test_p_i_ge_j_equals_count_tails_where_sia_wf_looks(monkeypatch, prm):
 # Stern
 
 
+def _stern_success_log2(n, k, w, l, j, cost):
+    """log2 p_e, read back from _stern_wf at one (l, j) given the
+    iteration cost c_it + c_inv written out as `cost`."""
+    wf = float(_stern_wf(n, k, w, l, j))
+    return -_P_INV_LOG2 - 2.0 * (wf - _GROVER_PREFACTOR_LOG2 - math.log2(cost))
+
+
+def _c_inv(n, k):
+    return 0.5 * (n - k) ** 3 + k * (n - k) ** 2
+
+
 def test_stern_prange_reduction():
     # j = 0, l = 0 collapses to the plain information-set split
     n, k, w = 30, 14, 5
     expected = _lb(n - w, k) - _lb(n, k)
-    assert abs(stern_success_log2(n, k, w, SternParams(0, 0)) - expected) < 1e-12
+    got = _stern_success_log2(n, k, w, 0, 0, _c_inv(n, k))
+    assert abs(got - expected) < 1e-12
 
 
 def test_stern_success_vs_exhaustive_sets():
@@ -214,7 +229,11 @@ def test_stern_success_vs_exhaustive_sets():
     redundancy = Fraction(math.comb(n - k - w + 2 * j, l),
                           math.comb(n - k, l))
     expected = float(frac * split * redundancy)
-    got = 2.0 ** stern_success_log2(n, k, w, SternParams(l, j))
+    # c_it: 2lj C(k/2, j) list bits and 2j(n - k) C(k/2, j)^2 / 2^l checks
+    lists = math.comb(k // 2, j)
+    cost = (_c_inv(n, k) + 2 * l * j * lists
+            + Fraction(2 * j * (n - k) * lists ** 2, 2 ** l))
+    got = 2.0 ** _stern_success_log2(n, k, w, l, j, cost)
     assert abs(got - expected) < 1e-12
 
 
@@ -228,12 +247,52 @@ def test_stern_wf_monotone_in_weight():
 
 def test_stern_certain_success_closed_form():
     # with w = 0 the split always succeeds: cost is the Grover prefactor
-    # times sqrt(1/p_inv) times one iteration
+    # times sqrt(1/p_inv) times one matrix inversion c_inv
     n, k = 200, 100
-    sp = SternParams(0, 0)
     expected = (_GROVER_PREFACTOR_LOG2 + 0.5 * (-_P_INV_LOG2)
-                + _stern_iteration_cost_log2(n, k, sp))
-    assert abs(_stern_wf_at(n, k, 0, sp) - expected) < 1e-12
+                + math.log2(_c_inv(n, k)))
+    assert abs(float(_stern_wf(n, k, 0, 0, 0)) - expected) < 1e-12
+
+
+# DA and KRA of every instance and toy, a weight sweep, certain success,
+# and two targets whose optimum lies beyond the first box: l grows past
+# 120 for the first, j past 40 for the second
+STERN_TARGETS = [
+    *(target(prm) for prm in (*REPORT_PARAMS, toy_params("toy13"))
+      for target in (decoding_attack_target, key_recovery_target)),
+    *(IsdTarget(1000, 500, w) for w in (10, 20, 40, 80)),
+    IsdTarget(200, 100, 0),
+    IsdTarget(687695510, 52063151, 25606579),
+    IsdTarget(80174, 11427, 68711)]
+
+
+@pytest.mark.parametrize("target", STERN_TARGETS,
+                         ids=lambda t: f"{t.n}-{t.w_target}")
+def test_stern_scan_matches_grid_and_climb(target):
+    assert quantum_stern_wf(target) == quantum_stern_wf_climb(target)
+
+
+@pytest.mark.parametrize("target", [
+    decoding_attack_target(A3), key_recovery_target(get_instance("gamma3")),
+    decoding_attack_target(toy_params("toy29")), IsdTarget(1000, 500, 20),
+    IsdTarget(80174, 11427, 68711)], ids=lambda t: f"{t.n}-{t.w_target}")
+def test_stern_wf_box_matches_scalar(target):
+    # every point of the first box, where the c_it terms come near c_inv
+    n, k, w = target.n, target.k, target.w_target
+    l, j = np.arange(121), np.arange(min(w // 2, 40) + 1)[:, None]
+    got = _stern_wf(n, k, w, l, j)
+    for (jj, ll), wf in np.ndenumerate(got):
+        assert wf == stern_wf_scalar(n, k, w, ll, jj), (ll, jj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.integers(0, n),
+    st.integers(0, 130), st.integers(0, 60))))
+def test_stern_wf_matches_scalar(point):
+    n, k, w, l, j = point
+    got = float(_stern_wf(n, k, w, l, j))
+    assert got == stern_wf_scalar(n, k, w, l, j), point
 
 
 def test_bjmm_half_rate_is_weight():

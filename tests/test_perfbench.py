@@ -88,4 +88,6 @@ def test_traced_estimate_run():
     out = _traced_run("estimate-all")
     assert out["attempted"] > 0
     assert out["failed"] == 0, out["failures"]
-    assert out["layers"]["estimator.lca_s"] > 0
+    # each wrapped estimator stage must still be called by name
+    for name in ("estimator.lca_s", "estimator.stern_s"):
+        assert out["layers"][name] > 0, name
