@@ -13,8 +13,10 @@ np.logaddexp2, np.logaddexp2.reduce: over a sequence in log2_sum, or
 along an array axis. Each quantity has one form: every hypergeometric
 parity probability is _parity_sum (one marked set) or _pair_parity_sum
 (two disjoint marked sets), every AND / XOR step is _overlap_fold,
-sia_wf is the one SIA evaluation, and _stern_wf is the one quantum Stern
-cost, an array over (l, j) that quantum_stern_wf scans whole.
+sia_wf is the one SIA evaluation, _stern_wf is the one quantum Stern
+cost, an array over (l, j) that quantum_stern_wf scans whole, and
+_binom_logpmfs is the one form of the lifetime scan's pair-count pmfs,
+from which their live window is read.
 """
 
 from __future__ import annotations
@@ -364,10 +366,12 @@ def _p_i_ge_j(n: int, ell: int, wlw, p_i, p_j):
     broadcast wlw >= 1, p_i and p_j."""
     wlw, p_i, p_j = (a[..., None] for a in np.broadcast_arrays(wlw, p_i, p_j))
     x = np.arange(ell + 1)
-    # P[an I-bit / a J-bit is set exactly x times], x = 0..ell
-    pi_counts, pj_counts = (_lb_array(ell, x) + x * _map(_safe_log2, p)
-                            + (ell - x) * _map(_safe_log2, 1 - p)
-                            for p in (p_i, p_j))
+    # P[an I-bit / a J-bit is set exactly x times], x = 0..ell, with
+    # 0 * log2(0) taken as 0 where p is 0 or 1
+    pi_counts, pj_counts = (
+        _lb_array(ell, x) + np.where(x == 0, 0.0, x * _map(_safe_log2, p))
+        + np.where(x == ell, 0.0, (ell - x) * _map(_safe_log2, 1 - p))
+        for p in (p_i, p_j))
     # P[an I-bit is set >= x + 1 times], x = 0..ell
     tail = np.logaddexp2.reduce(
         np.where(x[:, None] < x[1:], pi_counts[..., None, 1:], NEG_INF),
@@ -504,54 +508,34 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
 _LOG_PMF_CUT = -1000.0
 
 
-def _live_window(count: int, probs) -> tuple[int, int]:
-    """(lo, hi): the x-range over which some Binomial(count, prob) pmf of
-    `probs` has a natural log of at least _LOG_PMF_CUT."""
+def _binom_logpmfs(count: int, probs) -> tuple[int, int, list[np.ndarray]]:
+    """(lo, hi, pmfs): natural-log Binomial(count, prob) pmfs, one per
+    prob, over the live window x = lo..hi, the hull of the x at which some
+    pmf is at least _LOG_PMF_CUT.
+
+    They are computed from one pair of log-factorial arrays over the union
+    of Bernstein brackets mean +- (c/3 + sqrt(c^2/9 + 2 c var)), c =
+    -_LOG_PMF_CUT, which hold every live x (docs/decisions.md), and then
+    trimmed to the window.  Each entry equals, bit for bit, the one a full
+    0..count array would hold; the arrays follow the window, not count.
+    """
+    cut = -_LOG_PMF_CUT
     lo, hi = count, 0
     for prob in probs:
-        mode = min(int((count + 1) * prob), count)
-        lo = min(lo, _last_alive(count, prob, mode, 0))
-        hi = max(hi, _last_alive(count, prob, mode, count))
-    return lo, hi
-
-
-def _last_alive(count: int, prob: float, inside: int, end: int) -> int:
-    """Farthest x from the mode `inside` toward `end` whose log pmf is at
-    least _LOG_PMF_CUT. The pmf is log-concave, so those x form one
-    interval around the mode, and its edge is bisected."""
-    def alive(x: int) -> bool:
-        logpmf = (math.lgamma(count + 1) - math.lgamma(x + 1)
-                  - math.lgamma(count - x + 1)
-                  + x * math.log(prob) + (count - x) * math.log1p(-prob))
-        return logpmf >= _LOG_PMF_CUT
-
-    if alive(end):
-        return end
-    outside = end
-    while abs(outside - inside) > 1:
-        mid = (inside + outside) // 2
-        if alive(mid):
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def _binom_logpmfs(count: int, probs, lo: int, hi: int) -> list[np.ndarray]:
-    """Natural-log Binomial(count, prob) pmfs over x = lo..hi, one per
-    prob, from one pair of log-factorial arrays.
-
-    Each entry equals, bit for bit, the one a full 0..count array would
-    hold; the arrays are hi - lo + 1 long, so the scan's peak memory
-    follows the live window of _live_window, not count.
-    """
+        mean, var = count * prob, count * prob * (1.0 - prob)
+        reach = cut / 3 + math.sqrt(cut * cut / 9 + 2 * cut * var)
+        lo = min(lo, max(0, math.floor(mean - reach)))
+        hi = max(hi, min(count, math.ceil(mean + reach)))
     x = np.arange(lo, hi + 1, dtype=np.float64)
     log_x_fact = gammaln(x + 1)
     log_rest_fact = gammaln(count - x + 1)
     log_count_fact = gammaln(count + 1.0)
-    return [log_count_fact - log_x_fact - log_rest_fact
+    pmfs = [log_count_fact - log_x_fact - log_rest_fact
             + x * math.log(prob) + (count - x) * math.log1p(-prob)
             for prob in probs]
+    live = np.flatnonzero(np.maximum.reduce(pmfs) >= _LOG_PMF_CUT)
+    first, last = int(live[0]), int(live[-1])
+    return lo + first, lo + last, [pmf[first:last + 1] for pmf in pmfs]
 
 
 def _coincidence_separation(params: SysParams, collected: int,
@@ -567,8 +551,7 @@ def _coincidence_separation(params: SysParams, collected: int,
     n = params.n
     m2 = params.m_S * (params.m_S - 1) // 2
     n_bg = n * (n - 1) // 2 - n * m2
-    lo, hi = _live_window(collected, rhos)
-    logpmf1, logpmf0 = _binom_logpmfs(collected, rhos, lo, hi)
+    _, _, (logpmf1, logpmf0) = _binom_logpmfs(collected, rhos)
 
     # natural-log CDFs, inclusive and exclusive, from the window's lo
     cdf1_incl = np.logaddexp.accumulate(logpmf1)

@@ -1,5 +1,5 @@
 """Key generation: sparse generator, structured scrambling factors and
-the dense quasi-cyclic public key.
+the quasi-cyclic public key H' = F + P of flag-plus-sparse blocks.
 
 The private key is kept in factored form.  S = PiLambda . (E x I_p) . PiPhi
 with E an invertible circulant over n0 and PiLambda/PiPhi generalized
@@ -40,7 +40,7 @@ import numpy as np
 
 from .drbg import Xof, shuffle_rows
 from .errors import DimensionError, NotInvertible, Singular
-from .packed import PackedQc, index_cap
+from .packed import PackedQc
 from .params import SysParams
 from .qc import (PackedVector, dense_invert, inverse_shifts, odd_bits,
                  odd_positions, pack_blocks, padding_clear, qc_map,
@@ -253,14 +253,16 @@ def q_correction_mask(q: QFactors) -> np.ndarray:
 
 
 def build_public_key(sk: PrivateKey) -> PublicKey:
-    """Dense grid [Q^-1 V^T | Q^-1] . S^-1 built without expanding Q^-1 or S.
+    """H' = [Q^-1 V^T | Q^-1] . S^-1 built without expanding Q^-1 or S.
 
     Row i of H' is S^-T applied to row i of Q^-1 H, with H = [V^T | I_r].
     Q^-1 H = M^T H + (K x 1_{pxp}) H.  The first term has single-coefficient
     blocks, whose first rows go through the table of S^-T.  E^-T is the
     circulant of e_inv(x^-1), so its shifts are -e_inv mod n0.  The
     second term has all-ones blocks, which rotations leave unchanged, so
-    each travels as one flag through the table's blocks alone.
+    each travels as one flag through the table's blocks alone.  So every
+    block of H' is an all-ones flag plus a sparse part, H' = F + P with
+    P = M^T H S^-1, as packed's module docstring describes.
     """
     prm = sk.params
     p, n0, r0, k0 = prm.p, prm.n0, prm.r0, prm.k0
@@ -286,14 +288,16 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
 
     words = np.empty((r0, n0, prm.block_bytes // 8), dtype="<u8")
     all_ones = pack_blocks(np.ones(p, dtype=bool))
-    # each row's odd positions are its blocks' sparse parts; they are kept
-    # for the packed key while they fit its index cap.  Row i scrambles
-    # one support bit per entry of V in block column ki, plus one, into
-    # one position per column of S^-T's table, so all rows hold at most
-    # (cols.size + r0) * len(e_inv) of them.
+    # each row's odd positions are its blocks' sparse parts, kept for the
+    # packed key while every row is sorted; PackedQc decides whether they
+    # make its index.  Row i scrambles one support bit per entry of V in
+    # block column ki, plus one, into one position per column of S^-T's
+    # table, so all rows hold at most (cols.size + r0) * len(e_inv).  The
+    # buffer is made at the first sorted row, so keys whose rows are
+    # counted (a3) never make it: a 5 MiB buffer made and dropped there
+    # adds up to 2.7 MiB to a3-warm's peak RSS.
     most = (cols.size + r0) * s_t[0].shape[1]
-    sparse = np.empty(min(index_cap(words), most), dtype=np.int32)
-    ends = [0]
+    sparse, ends = None, [0]
     for i, ((ki,), (rot,)) in enumerate(zip(*sk.m_map)):
         # first row of block row i of M^T H: one coefficient per block
         rows, slots = np.divmod(in_col[col_ends[ki]:col_ends[ki + 1]],
@@ -305,13 +309,12 @@ def build_public_key(sk: PrivateKey) -> PublicKey:
             odd = odd_positions(scrambled)
             bits = np.zeros(prm.n, dtype=bool)
             bits[odd.astype(np.intp)] = True
-        else:
-            odd, bits = None, odd_bits(scrambled, prm.n)
-        if odd is not None and ends[-1] + odd.size <= sparse.size:
+            if sparse is None:
+                sparse = np.empty(most, dtype=np.int32)
             sparse[ends[-1]:ends[-1] + odd.size] = odd
             ends.append(ends[-1] + odd.size)
         else:
-            ends = []
+            ends, bits = [], odd_bits(scrambled, prm.n)
         words[i] = pack_blocks(bits.reshape(n0, p))
         words[i, ones[i]] ^= all_ones
     return PublicKey(prm, words,

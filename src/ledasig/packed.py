@@ -144,7 +144,10 @@ def _chunk_terms(p, nw):
 
 
 def index_cap(words):
-    """The regime rule: most int32 terms whose index fits words.nbytes."""
+    """The regime rule: most int32 terms whose index fits words.nbytes.
+
+    Its one statement: the word reader refuses a key above it before
+    allocating rows, and the rewrite refuses handed-over rows above it."""
     return words.nbytes // 4
 
 

@@ -61,17 +61,14 @@ def sorts_faster(m: int, n: int) -> bool:
 def odd_bits(pos: np.ndarray, n: int) -> np.ndarray:
     """Length-n bool array set where a position occurs an odd number of times.
 
-    This is the GF(2) sum of the unit vectors at pos.  While m log2 m stays
-    below n, sorting the m positions (odd_positions) costs less than an
-    n-sized count.  Larger m (signatures, the dense a3 rows) are counted.
+    This is the GF(2) sum of the unit vectors at pos, taken as an n-sized
+    count.  Its callers, apply_s and the public-key rows that sorts_faster
+    leaves to it, hold too many positions for a sort to pay; callers with
+    few positions take odd_positions instead.
     """
-    if not sorts_faster(pos.size, n):
-        counts = np.bincount(pos, minlength=n)
-        counts &= 1
-        return counts.astype(bool)
-    bits = np.zeros(n, dtype=bool)
-    bits[odd_positions(pos).astype(np.intp)] = True    # intp scatters fastest
-    return bits
+    counts = np.bincount(pos, minlength=n)
+    counts &= 1
+    return counts.astype(bool)
 
 
 # ---------------------------------------------------------------------------

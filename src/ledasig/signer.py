@@ -25,7 +25,7 @@ from .drbg import Xof, fisher_yates, fresh_xof
 from .errors import RetryExhausted, ThetaExhausted
 from .keygen import PrivateKey, apply_s
 from .params import SysParams
-from .qc import PackedVector, SparseVector, odd_bits, qc_map
+from .qc import PackedVector, SparseVector, odd_positions, qc_map
 
 THETA_MAX = (1 << 64) - 1
 _THETA_ITER_CAP = 1 << 32
@@ -107,12 +107,12 @@ def codeword_weight_floor(params: SysParams) -> int:
 def gen_codeword(sk: PrivateKey, xof: Xof) -> np.ndarray:
     """Support of a random codeword with weight close to m_g * w_g."""
     prm = sk.params
-    p, k, r = prm.p, prm.k, prm.r
+    p, k = prm.p, prm.k
     target = prm.m_g * prm.w_g
     floor = codeword_weight_floor(prm)
     for _ in range(_CODEWORD_RETRY_CAP):
         u = xof.distinct(k, prm.m_g)
-        right = np.flatnonzero(odd_bits(qc_map(sk.v, u, p), r))
+        right = odd_positions(qc_map(sk.v, u, p))
         weight = prm.m_g + len(right)
         if floor <= weight <= target:
             return np.concatenate((np.sort(u), right + k))

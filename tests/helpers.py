@@ -45,6 +45,15 @@ from ledasig.params import INSTANCES
 from ledasig.qc import SparseVector, dense_invert, inverse_int, qc_map
 from ledasig.signer import cw_encode, kernel_check
 
+# published payload sizes in kiB (public key, signature), read by the
+# acceptance suite's criterion 5 and by the codec's exact size test
+REFERENCE_KIB = {
+    "a3": (315.67, 3.55), "a6": (540.80, 6.52), "alpha3": (828.81, 9.32),
+    "b3": (1364.28, 9.16), "b6": (3160.47, 27.98), "beta3": (3619.48, 35.15),
+    "c3": (2818.20, 18.92), "c6": (11661.05, 89.02),
+    "gamma3": (15590.80, 112.17),
+}
+
 
 def toy_private_key(prm, seed: bytes) -> PrivateKey:
     """Private key expanded from any seed, for parameters without a wire id."""
@@ -801,6 +810,11 @@ def pair_coincidence_probs_loops(params) -> tuple[float, float]:
     return rho1, rho0
 
 
+def _times(count: int, log: float) -> float:
+    """count * log, with 0 * log2(0) taken as 0."""
+    return count * log if count else 0.0
+
+
 def count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
     """(pi_counts, pj_counts, pi_ge, pj_le, p_i_ge_j) over ell pairs for
     wlw tracked I-bits, every entry from x = 0 to ell:
@@ -811,9 +825,9 @@ def count_tails(n: int, ell: int, wlw: int, p_i: float, p_j: float):
     """
     log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
     log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
-    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
+    pi_counts = [_lb(ell, x) + _times(x, log_pi) + _times(ell - x, log_qi)
                  for x in range(ell + 1)]
-    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
+    pj_counts = [_lb(ell, x) + _times(x, log_pj) + _times(ell - x, log_qj)
                  for x in range(ell + 1)]
 
     pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 2)]
@@ -852,9 +866,9 @@ def p_i_ge_j_scalar(n: int, ell: int, wlw: int, p_i: float,
     log_pi, log_qi = _safe_log2(p_i), _safe_log2(1 - p_i)
     log_pj, log_qj = _safe_log2(p_j), _safe_log2(1 - p_j)
     # P[an I-bit is set exactly x times], x = 1..ell; a J-bit, x = 0..ell-1
-    pi_counts = [_lb(ell, x) + x * log_pi + (ell - x) * log_qi
+    pi_counts = [_lb(ell, x) + _times(x, log_pi) + _times(ell - x, log_qi)
                  for x in range(1, ell + 1)]
-    pj_counts = [_lb(ell, x) + x * log_pj + (ell - x) * log_qj
+    pj_counts = [_lb(ell, x) + _times(x, log_pj) + _times(ell - x, log_qj)
                  for x in range(ell)]
     # P[an I-bit is set >= x times], x = 1..ell + 1
     pi_tail = [log2_sum(pi_counts[x:]) for x in range(ell + 1)]

@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (QcMatrix, dense_eye, dense_mul, dense_vec_mul, q_dense,
-                     q_inv_dense, qc_mul, qc_vec_mul, s_dense, s_inv_dense,
-                     sparse_from_int)
+from helpers import (REFERENCE_KIB, QcMatrix, dense_eye, dense_mul,
+                     dense_vec_mul, q_dense, q_inv_dense, qc_mul, qc_vec_mul,
+                     s_dense, s_inv_dense, sparse_from_int)
 from ledasig import (INSTANCES, encode_private_key_at_rest,
                      encode_public_key, encode_signature, get_instance,
                      keypair_from_seed, private_key_at_rest_bytes,
@@ -51,13 +51,6 @@ REFERENCE = {
     "c3":     (832.29, 260.20, 259.47, 433.79, 553.38, None, 8790),
     "c6":     (775.34, 354.73, 266.47, 474.62, 833.40, None, 14269),
     "gamma3": (925.90, 486.32, 517.65, 587.59, None, None, 107005),
-}
-
-REFERENCE_KIB = {
-    "a3": (315.67, 3.55), "a6": (540.80, 6.52), "alpha3": (828.81, 9.32),
-    "b3": (1364.28, 9.16), "b6": (3160.47, 27.98), "beta3": (3619.48, 35.15),
-    "c3": (2818.20, 18.92), "c6": (11661.05, 89.02),
-    "gamma3": (15590.80, 112.17),
 }
 
 

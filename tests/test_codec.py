@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import invert_perm
+from helpers import REFERENCE_KIB, invert_perm
 from ledasig import (decode_private_key_expanded, decode_public_key,
                      decode_signature, encode_private_key_at_rest,
                      encode_private_key_expanded, encode_public_key,
@@ -21,14 +21,6 @@ from ledasig.keygen import keypair_from_seed, private_key_from_seed
 from ledasig.params import INSTANCE_IDS, INSTANCES, get_instance
 from ledasig.qc import PackedVector
 from ledasig.signer import sign
-
-# published payload sizes in kiB (public key, signature)
-REFERENCE_KIB = {
-    "a3": (315.67, 3.55), "a6": (540.80, 6.52), "alpha3": (828.81, 9.32),
-    "b3": (1364.28, 9.16), "b6": (3160.47, 27.98), "beta3": (3619.48, 35.15),
-    "c3": (2818.20, 18.92), "c6": (11661.05, 89.02),
-    "gamma3": (15590.80, 112.17),
-}
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))

@@ -29,10 +29,13 @@ from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                _p_i_ge_j, _sia_wf_at,
                                _stern_wf, _GROVER_PREFACTOR_LOG2,
                                _P_INV_LOG2,
-                               _LOG_PMF_CUT, _coincidence_separation,
-                               _live_window, _pair_coincidence_probs,
+                               _LOG_PMF_CUT, _binom_logpmfs,
+                               _coincidence_separation,
+                               _pair_coincidence_probs,
                                _scan_max_count)
 from ledasig.params import INSTANCES, get_instance
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 A3 = get_instance("a3")
 
@@ -436,7 +439,7 @@ def _lifetime_probes(monkeypatch, prm) -> list[int]:
 def _assert_window_tight(collected, rhos):
     """Both pmfs are below the cut just outside [lo, hi], and one of them
     reaches it at each edge."""
-    lo, hi = _live_window(collected, rhos)
+    lo, hi, _ = _binom_logpmfs(collected, rhos)
     pmfs = binom_logpmfs_full(collected, rhos)
     if lo > 0:
         assert all(pmf[lo - 1] < _LOG_PMF_CUT for pmf in pmfs)
@@ -475,7 +478,7 @@ def test_separation_window_covering_everything_is_bit_equal(name):
     prm = get_instance(name)
     rhos = _pair_coincidence_probs(prm)
     for collected in range(1, 65):
-        assert _live_window(collected, rhos) == (0, collected)
+        assert _binom_logpmfs(collected, rhos)[:2] == (0, collected)
         assert (_coincidence_separation(prm, collected, rhos)
                 == coincidence_separation_full(prm, collected, rhos))
 

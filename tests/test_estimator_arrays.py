@@ -3,6 +3,7 @@ bit for bit, on random small shapes and on the nine instances and the toy
 shapes."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from helpers import (REPORT_PARAMS, and_step_loop, lca_wf_scalar,
 from ledasig import estimator
 from ledasig.estimator import (NEG_INF, _overlap_fold, _p_i_ge_j, lca_wf,
                                log2_sum, sia_wf, xor_weight_dist)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _log2_dist(draw, size: int) -> np.ndarray:
@@ -78,6 +81,18 @@ def test_p_i_ge_j_grid_of_impossible_points():
     assert np.array_equal(got, np.full(7, NEG_INF))
     assert all(p_i_ge_j_scalar(100, 5, wlw, 0.0, 0.3) == NEG_INF
                for wlw in range(1, 8))
+
+
+def test_p_i_ge_j_with_every_i_bit_always_set():
+    # p_i = 1: every I-bit is set all ell times, so the event is that no
+    # J-bit is, (n - wlw) * log2(1 - p_j^ell); 0 * log2(0) counts as 0
+    wlw = np.arange(1, 8)
+    want = (100 - wlw) * math.log2(1 - 0.3 ** 5)
+    assert want[2] == pytest.approx(-0.34047, abs=1e-5)
+    assert np.allclose(_p_i_ge_j(100, 5, wlw, 1.0, 0.3), want,
+                       rtol=1e-12, atol=0)
+    assert np.allclose([p_i_ge_j_scalar(100, 5, int(w), 1.0, 0.3)
+                        for w in wlw], want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -283,12 +283,17 @@ def instance_keys():
 
 def test_regime_rule_picks_the_wide_instances(instance_keys):
     # the rule 4 sum|s_ij| <= words.nbytes takes the sparse product for
-    # exactly these four, whose fresh keys hand their rows over
+    # exactly these four.  Every fresh key whose rows are all sorted hands
+    # them over and the packed key alone applies the rule: a6 and alpha3
+    # hand over rows that break it
     sparse = {"b6", "beta3", "c6", "gamma3"}
+    handing = sparse | {"a6", "alpha3"}
     for name, (_, pk, handed, decoded) in instance_keys.items():
         assert (pk.packed.flags is not None) == (name in sparse), name
         assert (decoded.packed.flags is not None) == (name in sparse), name
-        assert (handed is not None) == (name in sparse), name
+        assert (handed is not None) == (name in handing), name
+        if name in handing - sparse:
+            assert handed[2].size > packed.index_cap(pk.words), name
         if name in sparse:
             assert pk.packed.by_col.nbytes <= pk.words.nbytes
             assert _same_index(pk.packed, decoded.packed), name
