@@ -30,6 +30,13 @@ class _UsageError(Exception):
     pass
 
 
+def _instance(name: str) -> SysParams:
+    try:
+        return get_instance(name)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 def _resolve_seed(args, params: SysParams) -> bytes:
     if getattr(args, "seed_hex", None):
         seed = bytes.fromhex(args.seed_hex)
@@ -47,7 +54,7 @@ def _resolve_seed(args, params: SysParams) -> bytes:
 
 
 def cmd_keygen(args) -> int:
-    params = get_instance(args.instance)
+    params = _instance(args.instance)
     seed = _resolve_seed(args, params)
     sk, pk = keypair_from_seed(seed, params)
     pk_blob = codec.encode_public_key(pk)
@@ -112,7 +119,7 @@ def cmd_estimate(args) -> int:
     elif args.params:
         targets = [_params_from_spec(args.params)]
     elif args.instance:
-        targets = [get_instance(args.instance)]
+        targets = [_instance(args.instance)]
     else:
         raise _UsageError("pass --instance, --params or --all")
     reports = []

@@ -116,9 +116,9 @@ class PublicKey:
 
     sparse_rows is what build_public_key hands to the packed key: the
     blocks' all-ones flags and sparse parts as packed's sparse rows.  It
-    is None for a decoded key; building the packed key rewrites its
-    positions into the product's read-only index in place, and a later
-    PackedQc given them reads the words instead.
+    is None for a decoded key, and packed hands the rows over once and
+    sets it to None: PackedQc rewrites their positions into its index in
+    place, or drops them when the key takes the residue comb.
     """
 
     params: SysParams
@@ -136,7 +136,8 @@ class PublicKey:
 
     @cached_property
     def packed(self) -> PackedQc:
-        return PackedQc(self.words, self.params.p, self.sparse_rows)
+        rows, self.sparse_rows = self.sparse_rows, None
+        return PackedQc(self.words, self.params.p, rows)
 
     def __eq__(self, other):
         return (isinstance(other, PublicKey) and self.params == other.params

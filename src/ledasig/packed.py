@@ -17,11 +17,14 @@ of H' * sigma^T is
 
 Regime rule.  A key takes the sparse product when an int32 index of its
 sparse parts takes no more bytes than its words, 4 * sum |s_ij| <=
-words.nbytes (index_cap), i.e. when the mean |s_ij| is at most 2 ceil(p/64).
-Both sides are known from popcounts and the rule has no tuned constant.  Of
-the nine instances it picks b6, beta3, c6 and gamma3; the other five,
-and any key whose blocks are not flag plus sparse (a random matrix has
-|s_ij| near p/2), take the residue comb.
+words.nbytes, i.e. when the mean |s_ij| is at most 2 ceil(p/64).  PackedQc
+takes every block's popcount once; the flags, the |s_ij|, where each
+block's terms begin and the rule all follow from them, so a key over the
+rule takes the comb before any sparse rows are read or rewritten, and
+the rule has no tuned constant.  Of the nine instances it picks b6,
+beta3, c6 and gamma3; the other five, and any key whose blocks are not
+flag plus sparse (a random matrix has |s_ij| near p/2), take the
+residue comb.
 
 Sparse product.  Its work is sum |s_ij| * ceil(p/64) word XORs, against
 weight(sigma) * r0 * ceil(p/64) for the comb: 0.15 against 1.5 G words
@@ -38,9 +41,11 @@ by_col stores each term's row in its chunk's table as an int32,
 and C columns per chunk; starts[i, j] is where block (i, j)'s terms
 begin, in (i, j, c) order.  Every key reaches it from one form, its
 sparse rows (flags, ends, pos): pos[ends[i]:ends[i + 1]] holds block row
-i's positions j p + c, ascending int32, and one rewrite turns them into
-records in place.  build_public_key hands a fresh key's rows over; a
-decoded key's are read off its words.
+i's positions j p + c, ascending int32, and one rewrite per row turns
+them into records in place.  build_public_key hands a fresh key's rows
+over, and they are taken when their flags and row ends are the ones the
+popcounts give; otherwise, and for a decoded key, they are read off the
+words.
 
 Residue comb.  A set bit of sigma at offset t inside block j enters as
 x^((-t) mod p), since sum_j T(h_ij) v_j = T(sum_j h_ij T(v_j)); it adds
@@ -143,49 +148,10 @@ def _chunk_terms(p, nw):
             + in_block).ravel()
 
 
-def index_cap(words):
-    """The regime rule: most int32 terms whose index fits words.nbytes.
-
-    Its one statement: the word reader refuses a key above it before
-    allocating rows, and the rewrite refuses handed-over rows above it."""
-    return words.nbytes // 4
-
-
-def _index_from_rows(rows, blocks, p):
-    """(flags, starts, index) from sparse rows (module docstring), or None
-    when rows is None, breaks the regime rule or holds some s_ij that is
-    not the lighter side of its block; pos becomes the index in place.
-    A read-only pos is an index an earlier PackedQc has already made of
-    these rows, no longer positions, so it counts as absent too."""
-    if rows is None or not rows[2].flags.writeable:
-        return None
-    flags, ends, pos = rows
-    if pos.size > index_cap(blocks):
-        return None
-    r0, n0 = flags.shape
-    edges = np.arange(n0 + 1, dtype=np.int32) * p
-    starts = np.empty((r0, n0 + 1), dtype=np.int64)
-    terms = _chunk_terms(p, blocks.shape[-1])
-    for i in range(r0):
-        row = pos[ends[i]:ends[i + 1]]
-        starts[i] = ends[i] + np.searchsorted(row, edges)
-        np.take(terms, row % terms.size, out=row)
-    if (2 * np.diff(starts, axis=1) >= p).any():
-        return None
-    return flags.astype(np.uint8), starts, pos
-
-
-def _rows_from_words(blocks, p):
-    """Sparse rows read off the words, each s_ij the lighter side of its
-    block, or None when they break the regime rule."""
+def _rows_from_words(blocks, p, flags, ends):
+    """The positions of sparse rows (flags, ends, pos) read off the words:
+    block (i, j)'s part is its words XOR flags[i, j]'s all-ones block."""
     r0, n0, nw = blocks.shape
-    weights = np.bitwise_count(blocks).sum(axis=-1, dtype=np.int64)
-    flags = 2 * weights > p
-    counts = np.where(flags, p - weights, weights)
-    ends = np.zeros(r0 + 1, dtype=np.int64)
-    np.cumsum(counts.sum(axis=1), out=ends[1:])
-    if ends[-1] > index_cap(blocks):
-        return None
     pos = np.empty(ends[-1], dtype=np.int32)
     ones = pack_blocks(np.ones(p, dtype=bool))
     # the position of bit 0 of word q of block j, less one: bit b of a
@@ -219,7 +185,7 @@ def _rows_from_words(blocks, p):
             entry += base[:live]
             pos[slot[:live]] = entry
             slot[:live] += 1
-    return flags, ends.tolist(), pos
+    return pos
 
 
 def _xor_rows(rows):
@@ -283,13 +249,17 @@ class PackedQc:
 
     blocks is a (rows_blocks, cols_blocks, words) array of wire-layout
     blocks whose bits at and above p are clear; by_row is blocks itself.
-    A flag-plus-sparse key (module docstring) holds flags (r0, n0) 0/1,
-    starts (r0, n0 + 1) and its term index as by_col (int32).  Any other
-    key holds by_col as the word-major key, row j block column j as a
-    (words, rows_blocks) array, and flags is None.
+    The blocks' popcounts decide everything once: each block's flag and
+    lighter side, and the regime rule (module docstring).  A key under
+    the rule holds flags (r0, n0) 0/1, starts (r0, n0 + 1) and its term
+    index as by_col (int32).  Any other key holds by_col as the
+    word-major key, row j block column j as a (words, rows_blocks) array,
+    and flags is None.
 
     rows, when given, is build_public_key's sparse rows of the blocks
-    (module docstring); their positions array becomes the index.
+    (module docstring).  When their flags and row ends are the ones the
+    popcounts give, their positions array becomes the index in place;
+    otherwise the positions are read off the words.
     """
 
     # read by the benchmark harness, which records the backend
@@ -301,14 +271,31 @@ class PackedQc:
         self.p = p
         # blocks itself, not a copy; the benchmark harness sizes the key by it
         self.by_row = blocks
-        index = _index_from_rows(rows, blocks, p)
-        if index is None:
-            index = _index_from_rows(_rows_from_words(blocks, p), blocks, p)
-        if index is None:
+        weights = np.bitwise_count(blocks).sum(axis=-1, dtype=np.int64)
+        flags = 2 * weights > p
+        counts = np.where(flags, p - weights, weights)
+        if 4 * counts.sum() > blocks.nbytes:
             self.flags = self.starts = None
             self.by_col = np.ascontiguousarray(blocks.transpose(1, 2, 0))
         else:
-            self.flags, self.starts, self.by_col = index
+            self.flags = flags.astype(np.uint8)
+            # where block (i, j)'s terms begin, in (i, j, c) order; row
+            # i's run ends where row i + 1's begins
+            begin = np.zeros(r0 * n0 + 1, dtype=np.int64)
+            np.cumsum(counts, out=begin[1:])
+            self.starts = begin[np.arange(0, r0 * n0, n0)[:, None]
+                                + np.arange(n0 + 1)]
+            ends = begin[::n0]
+            if (rows is not None and np.array_equal(rows[0], flags)
+                    and np.array_equal(rows[1], ends)):
+                pos = rows[2]
+            else:
+                pos = _rows_from_words(blocks, p, flags, ends)
+            terms = _chunk_terms(p, nw)
+            for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+                row = pos[a:b]
+                np.take(terms, row % terms.size, out=row)
+            self.by_col = pos
         self.by_col.flags.writeable = False
 
     def mul_support(self, support) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .keygen import PublicKey
-from .signer import THETA_MAX, Signature, cw_encode, hash_digest
+from .signer import Signature, cw_encode, hash_digest
 
 
 def verify(pk: PublicKey, message: bytes, sig: Signature) -> bool:
@@ -20,8 +20,6 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> bool:
         raise FormatError(
             f"signature of {sigma.blocks} blocks of {sigma.p} bits does not "
             f"match n0={prm.n0}, p={prm.p}")
-    if not 0 <= sig.theta_star <= THETA_MAX:
-        raise FormatError("salt outside the 64-bit range")
     if sigma.weight > prm.max_sig_weight:
         return False
     recomputed = pk.packed.mul_support(sigma.positions())

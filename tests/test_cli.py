@@ -180,6 +180,16 @@ def test_estimate_requires_target():
     assert main(["estimate"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["keygen", "--instance", "zz", "--seed-hex", SEED_HEX,
+     "--out-prefix", "unused"],
+    ["estimate", "--instance", "zz"]], ids=["keygen", "estimate"])
+def test_unknown_instance_is_usage_error(command, capsys):
+    # exit 1 means a rejected signature, so a bad --instance is exit 2
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: unknown instance 'zz'")
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

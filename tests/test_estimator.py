@@ -35,8 +35,6 @@ from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                _scan_max_count)
 from ledasig.params import INSTANCES, get_instance
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 A3 = get_instance("a3")
 
 

@@ -16,8 +16,6 @@ from ledasig import estimator
 from ledasig.estimator import (NEG_INF, _overlap_fold, _p_i_ge_j, lca_wf,
                                log2_sum, sia_wf, xor_weight_dist)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _log2_dist(draw, size: int) -> np.ndarray:
     """A log2 weight distribution with -inf holes, at least one live."""

@@ -178,18 +178,12 @@ def _same_index(a, b):
                for name in ("flags", "starts", "by_col"))
 
 
-def _same_rows(a, b):
-    """Two keys' sparse rows (flags, ends, positions) are the same."""
-    return (np.array_equal(a[0], b[0]) and list(a[1]) == list(b[1])
-            and np.array_equal(a[2], b[2]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_product_matches_dense_oracle(data):
     # synthetic flag-plus-sparse keys at small p against the dense oracle;
-    # the rows read off the words are the handed-over rows, and the index
-    # read off the words equals the one from handed-over rows
+    # the positions read off the words are the handed-over ones, and the
+    # index read off the words equals the one from handed-over rows
     p = data.draw(st.integers(3, 200), label="p")
     rb = data.draw(st.integers(1, 3), label="rb")
     cb = data.draw(st.integers(rb + 1, 5), label="cb")
@@ -198,7 +192,8 @@ def test_sparse_product_matches_dense_oracle(data):
     pq = PackedQc(words, p)
     assert pq.flags is not None and not pq.by_col.flags.writeable
     rows = _rows_of(words, p)
-    assert _same_rows(packed._rows_from_words(words, p), rows)
+    assert np.array_equal(packed._rows_from_words(words, p, *rows[:2]),
+                          rows[2])
     assert _same_index(pq, PackedQc(words, p, rows))
     dense = words_to_qc(words, p).to_dense_rows()
     sup = tuple(sorted(data.draw(
@@ -270,7 +265,7 @@ def test_random_wide_key_takes_the_comb():
 @pytest.fixture(scope="module")
 def instance_keys():
     # handed is a copy of the fresh key's sparse rows, or None: packing
-    # the key rewrites its own rows into the index
+    # the key hands its own rows over and drops them
     keys = {}
     for name, prm in INSTANCES.items():
         sk, pk = keypair_from_seed(bytes(range(prm.seed_bytes)), prm)
@@ -293,29 +288,46 @@ def test_regime_rule_picks_the_wide_instances(instance_keys):
         assert (decoded.packed.flags is not None) == (name in sparse), name
         assert (handed is not None) == (name in handing), name
         if name in handing - sparse:
-            assert handed[2].size > packed.index_cap(pk.words), name
+            assert 4 * handed[2].size > pk.words.nbytes, name
         if name in sparse:
             assert pk.packed.by_col.nbytes <= pk.words.nbytes
             assert _same_index(pk.packed, decoded.packed), name
 
 
+def test_packed_key_keeps_no_handed_rows(instance_keys):
+    # pk.packed hands the fresh key's rows over once and drops them: the
+    # four sparse keys rewrite them into their index, and a6 and alpha3,
+    # over the rule, take the comb without reading them
+    for name, (_, pk, handed, _) in instance_keys.items():
+        pq = pk.packed
+        assert pk.sparse_rows is None, name
+        if name in ("a6", "alpha3"):
+            assert handed is not None and pq.flags is None, name
+
+
 @pytest.mark.parametrize("name", ["b6", "beta3", "c6", "gamma3"])
 def test_decoded_words_read_as_the_handed_rows(instance_keys, name):
-    # one form: a decoded key's words read as the rows its fresh key
-    # handed over
+    # one form: a decoded key's popcounts give the flags and row ends its
+    # fresh key handed over, and its words read as the handed positions
     _, pk, handed, decoded = instance_keys[name]
-    read = packed._rows_from_words(decoded.words, pk.params.p)
-    assert _same_rows(read, handed)
+    starts = decoded.packed.starts
+    flags = decoded.packed.flags.astype(bool)
+    ends = np.append(starts[:, 0], starts[-1, -1])
+    assert np.array_equal(flags, handed[0])
+    assert ends.tolist() == list(handed[1])
+    read = packed._rows_from_words(decoded.words, pk.params.p, flags, ends)
+    assert np.array_equal(read, handed[2])
 
 
 @pytest.mark.parametrize("name", ["b6", "gamma3"])
-def test_second_packed_key_from_rewritten_rows_reads_the_words(instance_keys,
-                                                                 name):
-    # pk.packed has rewritten the handed rows into its read-only index; a
-    # second PackedQc given those rows reads the words instead
+def test_second_packed_key_from_the_words_gives_the_same_index(
+        instance_keys, name):
+    # pk.packed has rewritten the handed rows into its index and dropped
+    # them; a second PackedQc of the same words reads them off the words
+    # and gives the same index and products
     sk, pk, _, _ = instance_keys[name]
     first = pk.packed
-    second = PackedQc(pk.words, pk.params.p, pk.sparse_rows)
+    second = PackedQc(pk.words, pk.params.p)
     assert _same_index(first, second)
     sup = sign(sk, b"second key", rng=Xof(b"second key")).sigma.positions()
     assert second.mul_support(sup) == first.mul_support(sup)

@@ -241,5 +241,6 @@ def test_sign_weight_bound_and_fresh_salt(toy29_key):
 
 
 def test_sign_rejects_bad_theta():
-    with pytest.raises(ValueError):
-        Signature(PackedVector.from_support(2, 5, ()), 1 << 64)
+    for theta in (1 << 64, -1):
+        with pytest.raises(ValueError):
+            Signature(PackedVector.from_support(2, 5, ()), theta)
