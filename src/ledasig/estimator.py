@@ -17,6 +17,12 @@ sia_wf is the one SIA evaluation, _stern_wf is the one quantum Stern
 cost, an array over (l, j) that quantum_stern_wf scans whole, and
 _binom_logpmfs is the one form of the lifetime scan's pair-count pmfs,
 from which their live window is read.
+
+Work that cannot change a reported float is skipped, never approximated:
+sia_wf evaluates only the (L, w_L) cells whose float-safe lower bound
+lies below the best work factor so far, lca_wf folds only the weights
+that a later XOR step reads, and quantum_stern_wf evaluates only the rows
+and columns its grown box gained.
 """
 
 from __future__ import annotations
@@ -88,13 +94,13 @@ def _overlap_fold(n: int, dist: np.ndarray, w: int, size: int,
     """Combine one more independent weight-w vector with a weight
     distribution, into weights 0..size-1. A weight-x vector overlapping the
     new one in i positions gives y = x + w - 2i under XOR and i under AND;
-    the live (x, i) terms are sorted by (y, x), and one reduceat folds each
-    y's terms in increasing x, as a per-x loop does."""
+    the live (x, i) terms with y < size are sorted by (y, x), and one
+    reduceat folds each y's terms in increasing x, as a per-x loop does."""
     x, i = np.broadcast_arrays(np.flatnonzero(dist != NEG_INF)[:, None],
                                np.arange(w + 1))
-    live = (i >= x + w - n) & (i <= x) & (xor | (i < size))
-    x, i = x[live], i[live]
     y = x + w - 2 * i if xor else i
+    live = (i >= x + w - n) & (i <= x) & (y < size)
+    x, i, y = x[live], i[live], y[live]
     pair = _lb_array(x, i) + _lb_array(n - x, w - i) - _lb(n, w)
     order = np.lexsort((x, y))
     terms, y = (dist[x] + pair)[order], y[order]
@@ -187,15 +193,15 @@ def quantum_stern_wf(target: IsdTarget) -> tuple[float, SternParams]:
     l <= min(120, n - k), and argmin takes its first minimum in (j, l)
     order. While that minimum lies on a bound that can still grow
     (j up to w/2, l up to n - k), the bound doubles and the box is
-    evaluated again, so a minimum pressed against the first box's edge
-    is followed past it. A separate, lower basin beyond the box is not
-    searched for.
+    extended by the rows and columns it gained, so a minimum pressed
+    against the first box's edge is followed past it. A separate, lower
+    basin beyond the box is not searched for.
     """
     n, k, w = target.n, target.k, target.w_target
     j_max, l_max = min(w // 2, 40), min(120, n - k)
+    wf = np.empty((0, 0))
     while True:
-        wf = _stern_wf(n, k, w, np.arange(l_max + 1),
-                       np.arange(j_max + 1)[:, None])
+        wf = _stern_box(n, k, w, wf, j_max, l_max)
         j, l = np.unravel_index(np.argmin(wf), wf.shape)
         grow_j, grow_l = j == j_max < w // 2, l == l_max < n - k
         if not (grow_j or grow_l):
@@ -204,6 +210,23 @@ def quantum_stern_wf(target: IsdTarget) -> tuple[float, SternParams]:
         l_max = min(2 * l_max, n - k) if grow_l else l_max
     return (float(wf[j, l]) - _speedup_log2(target),
             SternParams(int(l), int(j)))
+
+
+def _stern_box(n: int, k: int, w: int, box: np.ndarray, j_max: int,
+               l_max: int) -> np.ndarray:
+    """_stern_wf over j <= j_max, l <= l_max, given `box`, its values over
+    a smaller box from the origin: only the gained columns and rows are
+    evaluated. _stern_wf is entrywise, so this equals the whole box."""
+    rows, cols = box.shape
+    out = np.empty((j_max + 1, l_max + 1))
+    out[:rows, :cols] = box
+    if rows and cols <= l_max:
+        out[:rows, cols:] = _stern_wf(n, k, w, np.arange(cols, l_max + 1),
+                                      np.arange(rows)[:, None])
+    if rows <= j_max:
+        out[rows:] = _stern_wf(n, k, w, np.arange(l_max + 1),
+                               np.arange(rows, j_max + 1)[:, None])
+    return out
 
 
 def _speedup_log2(target: IsdTarget) -> float:
@@ -291,6 +314,16 @@ _LCA_MAX_COMBINATIONS = 8
 
 
 def lca_wf(params: SysParams) -> LcaEstimate:
+    """Linear-combination work factor, minimized over the number L of
+    combined signatures, 2 <= L <= _LCA_MAX_COMBINATIONS.
+
+    Step L reads the syndrome XOR distribution at weight w and the
+    information-word one up to m_g. One more XOR moves a weight by at most
+    w (m_g), so step ell keeps syndrome weights up to
+    (_LCA_MAX_COMBINATIONS - ell + 1) * w and information weights up to
+    (_LCA_MAX_COMBINATIONS - ell + 1) * m_g: every weight a later step reads
+    is folded from the same terms, in the same order, as over 0..r (0..k).
+    """
     w, r, k, m_g = params.w, params.r, params.k, params.m_g
     w_sigma = (params.w + params.w_c) * params.m_S
     best, best_l = math.inf, 2
@@ -298,8 +331,11 @@ def lca_wf(params: SysParams) -> LcaEstimate:
     # extended by one vector per ell
     syndrome, info = xor_weight_dist(r, [w]), xor_weight_dist(k, [m_g])
     for ell in range(2, _LCA_MAX_COMBINATIONS + 1):
-        syndrome = _overlap_fold(r, syndrome, w, r + 1, xor=True)
-        info = _overlap_fold(k, info, m_g, k + 1, xor=True)
+        steps_left = _LCA_MAX_COMBINATIONS - ell + 1
+        syndrome = _overlap_fold(r, syndrome, w, min(r, steps_left * w) + 1,
+                                 xor=True)
+        info = _overlap_fold(k, info, m_g, min(k, steps_left * m_g) + 1,
+                             xor=True)
         p_syndrome = float(syndrome[w])
         p_info = log2_sum(info[:m_g + 1])
         if p_syndrome == NEG_INF or p_info == NEG_INF:
@@ -420,21 +456,45 @@ def sia_wf(params: SysParams) -> SiaEstimate:
     For w_L not dividing w, the cheaper of the two last-step strategies
     is taken: an unconstrained-position final step, or a final step that
     re-finds previously located positions.
+
+    Only the cells that a lower bound leaves open are evaluated. With
+    c_ij, c_s1 and the lb terms computed as _sia_wf_at computes them,
+    B = max(c_ij, ((c_s1 - p_and) + lb(r, w_L)) - lb(w, w_L)) satisfies
+    _sia_wf_at >= B - p_igej >= B in float64: log2_sum never returns less
+    than its largest term, B follows _sia_wf_at's own order of additions
+    (and rounded + and - are monotone in each argument), lb(w, w_L) >= 0
+    and p_igej <= 0. So a cell with B >= best, or B - p_igej >= best, can
+    not replace best, which is replaced only on a strict <: the same
+    (wf, L, w_L) comes out as from every cell, ties included.
     """
     if params.z > params.w:
         raise ValueError(f"SIA needs z <= w, got z={params.z}, w={params.w}")
+    n, r, w = params.n, params.r, params.w
     rows = _codeword_row_parities(params)
-    w_ls = np.arange(params.z, params.w + 1)
+    w_ls = np.arange(params.z, w + 1)
+    wlw = params.m_S * w_ls
     _, p_i, _, p_j = np.array([_bit_probabilities(params, w_l, rows)
                                for w_l in w_ls.tolist()]).T
+    lb_r, lb_w = _lb_array(r, w_ls), _lb_array(w, w_ls)
     best = (math.inf, 2, params.z)
     for ell in range(2, _SIA_MAX_COLLECTED + 1):
-        p_igej = _p_i_ge_j(params.n, ell, params.m_S * w_ls, p_i, p_j)
-        for w_l, p in zip(w_ls.tolist(), p_igej.tolist()):
-            wf = _sia_wf_at(params, ell, w_l,
-                            p_and_intersection(params, ell, w_l), p)
-            if wf < best[0]:
-                best = (wf, ell, w_l)
+        p_and = _iterated_and_dist(r, w, ell)[w_ls]
+        c_ij = _map(math.log2, (ell - 1) * n * math.ceil(math.log2(ell))
+                    + wlw * r)
+        c_s1 = math.log2((ell - 1) * w)
+        # _sia_wf_at >= bound - p_igej >= bound (docstring); inf where
+        # p_and is -inf
+        bound = np.maximum(c_ij, ((c_s1 - p_and) + lb_r) - lb_w)
+        cells = np.flatnonzero(bound < best[0])
+        if not cells.size:
+            continue
+        p_igej = _p_i_ge_j(n, ell, wlw[cells], p_i[cells], p_j[cells])
+        for cell, p in zip(cells.tolist(), p_igej.tolist()):
+            if bound[cell] - p < best[0]:
+                w_l = int(w_ls[cell])
+                wf = _sia_wf_at(params, ell, w_l, float(p_and[cell]), p)
+                if wf < best[0]:
+                    best = (wf, ell, w_l)
     return SiaEstimate(best[0], best[1], best[2])
 
 

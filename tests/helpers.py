@@ -11,7 +11,8 @@ tables independently.  So do the scalar AND / XOR weight-distribution
 loops and per-x steps that the estimator's sorted reduceat fold must
 reproduce bit for bit; the written-out parity-sum loops, the SIA count
 tails, the one-point _p_i_ge_j and the scalar sia_wf and lca_wf built
-from these loops, which its array forms must reproduce bit for bit; and
+from these loops, which its array forms must reproduce bit for bit, and
+the one-point form of sia_wf's lower bound on a cell's work factor; and
 the full-range coincidence separation that its live-window sums must
 reproduce; and the per-point Stern cost with its coarse grid and hill
 climb, whose answers the exhaustive (l, j) scan must reproduce.  So do
@@ -901,6 +902,17 @@ def sia_wf_scalar(params) -> SiaEstimate:
             if wf < best[0]:
                 best = (wf, ell, w_l)
     return SiaEstimate(*best)
+
+
+def sia_bound_scalar(params, ell: int, w_l: int, p_and_log2: float) -> float:
+    """sia_wf's lower bound B at one (L, w_L), written out from
+    _sia_wf_at's own terms: max(c_ij, ((c_s1 - p_and) + lb(r, w_L)) -
+    lb(w, w_L)), inf where p_and is -inf."""
+    w, r, n = params.w, params.r, params.n
+    c_s1 = math.log2((ell - 1) * w)
+    c_ij = math.log2((ell - 1) * n * math.ceil(math.log2(ell))
+                     + params.m_S * w_l * r)
+    return max(c_ij, ((c_s1 - p_and_log2) + _lb(r, w_l)) - _lb(w, w_l))
 
 
 def lca_wf_scalar(params) -> LcaEstimate:

@@ -12,8 +12,8 @@ from helpers import (REPORT_PARAMS, SIATOY, and_weight_dist_loop,
                      binom_logpmfs_full, coincidence_separation_full,
                      count_tails, p_i_ge_j_scalar,
                      pair_coincidence_probs_loops, quantum_stern_wf_climb,
-                     signature_bit_probability_loop, stern_wf_scalar,
-                     xor_weight_dist_loop)
+                     sia_bound_scalar, signature_bit_probability_loop,
+                     stern_wf_scalar, xor_weight_dist_loop)
 from ledasig import estimator, toy_params
 from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                decoding_attack_target, full_report,
@@ -175,20 +175,32 @@ def test_parity_sums_equal_written_out_loops(prm):
 
 @pytest.mark.parametrize("prm", REPORT_PARAMS, ids=lambda prm: prm.name)
 def test_p_i_ge_j_equals_count_tails_where_sia_wf_looks(monkeypatch, prm):
-    calls = []
-    inner = estimator._p_i_ge_j
+    calls, evaluated = [], []
+    inner, inner_at = estimator._p_i_ge_j, estimator._sia_wf_at
 
     def recording(*args):
         calls.append((args, inner(*args)))
         return calls[-1][1]
 
+    def recording_at(params, ell, w_l, *rest):
+        evaluated.append((ell, inner_at(params, ell, w_l, *rest)))
+        return evaluated[-1][1]
+
     monkeypatch.setattr(estimator, "_p_i_ge_j", recording)
+    monkeypatch.setattr(estimator, "_sia_wf_at", recording_at)
     sia_wf(prm)
     monkeypatch.undo()
-    # one call per L, over every w_L = z..w at once
-    assert len(calls) == 15
+    # at most one call per L, on exactly the w_L whose bound lies below
+    # the best work factor of the L before it
+    asked = {args[1]: (args[2] // prm.m_S).tolist() for args, _ in calls}
+    assert len(asked) == len(calls)
+    for ell in range(2, estimator._SIA_MAX_COLLECTED + 1):
+        best = min((wf for l, wf in evaluated if l < ell), default=math.inf)
+        open_cells = [w_l for w_l in range(prm.z, prm.w + 1)
+                      if sia_bound_scalar(prm, ell, w_l, p_and_intersection(
+                          prm, ell, w_l)) < best]
+        assert asked.get(ell, []) == open_cells, ell
     for (n, ell, wlw, p_i, p_j), got in calls:
-        assert len(got) == prm.w - prm.z + 1
         for point in zip(wlw.tolist(), p_i.tolist(), p_j.tolist(),
                          got.tolist()):
             args = (n, ell, *point[:3])
@@ -271,6 +283,26 @@ STERN_TARGETS = [
                          ids=lambda t: f"{t.n}-{t.w_target}")
 def test_stern_scan_matches_grid_and_climb(target):
     assert quantum_stern_wf(target) == quantum_stern_wf_climb(target)
+
+
+@pytest.mark.parametrize("target", STERN_TARGETS,
+                         ids=lambda t: f"{t.n}-{t.w_target}")
+def test_stern_box_strips_equal_the_whole_box(monkeypatch, target):
+    boxes = []
+    inner = estimator._stern_box
+
+    def recording(*args):
+        boxes.append(inner(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(estimator, "_stern_box", recording)
+    quantum_stern_wf(target)
+    monkeypatch.undo()
+    n, k, w = target.n, target.k, target.w_target
+    for box in boxes:
+        rows, cols = box.shape
+        assert np.array_equal(box, _stern_wf(n, k, w, np.arange(cols),
+                                             np.arange(rows)[:, None]))
 
 
 @pytest.mark.parametrize("target", [

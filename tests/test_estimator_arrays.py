@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (REPORT_PARAMS, and_step_loop, lca_wf_scalar,
-                     p_i_ge_j_scalar, sia_wf_scalar, xor_step_loop)
+                     p_i_ge_j_scalar, sia_bound_scalar, sia_wf_scalar,
+                     xor_step_loop)
 from ledasig import estimator
-from ledasig.estimator import (NEG_INF, _overlap_fold, _p_i_ge_j, lca_wf,
-                               log2_sum, sia_wf, xor_weight_dist)
+from ledasig.estimator import (NEG_INF, _SIA_MAX_COLLECTED, _bit_probabilities,
+                               _codeword_row_parities, _overlap_fold,
+                               _p_i_ge_j, _sia_wf_at, lca_wf, log2_sum,
+                               p_and_intersection, sia_wf, xor_weight_dist)
+from ledasig.params import INSTANCES
 
 
 def _log2_dist(draw, size: int) -> np.ndarray:
@@ -39,6 +43,19 @@ def test_xor_fold_equals_per_x_loop(data):
     dist = _log2_dist(data.draw, n + 1)
     assert np.array_equal(_overlap_fold(n, dist, w, n + 1, xor=True),
                           xor_step_loop(n, dist, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_xor_fold_equals_per_x_loop(data):
+    # lca_wf keeps only the weights a later step reads: each kept weight
+    # is folded from the same terms as over 0..n
+    n = data.draw(st.integers(1, 300))
+    w = data.draw(st.integers(0, n))
+    size = data.draw(st.integers(1, n + 1))
+    dist = _log2_dist(data.draw, n + 1)
+    assert np.array_equal(_overlap_fold(n, dist, w, size, xor=True),
+                          xor_step_loop(n, dist, w)[:size])
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,6 +117,40 @@ def test_p_i_ge_j_with_every_i_bit_always_set():
 @pytest.mark.parametrize("prm", REPORT_PARAMS, ids=lambda prm: prm.name)
 def test_sia_wf_equals_scalar_oracle(prm):
     assert sia_wf(prm) == sia_wf_scalar(prm)
+
+
+@pytest.mark.parametrize("prm", REPORT_PARAMS, ids=lambda prm: prm.name)
+def test_sia_bound_is_below_every_cell(prm):
+    # B <= B - p_igej <= _sia_wf_at on every (L, w_L), so a cell whose
+    # bound is not below the best so far cannot replace it
+    rows = _codeword_row_parities(prm)
+    for w_l in range(prm.z, prm.w + 1):
+        _, p_i, _, p_j = _bit_probabilities(prm, w_l, rows)
+        for ell in range(2, _SIA_MAX_COLLECTED + 1):
+            p_and = p_and_intersection(prm, ell, w_l)
+            p_igej = p_i_ge_j_scalar(prm.n, ell, prm.m_S * w_l, p_i, p_j)
+            bound = sia_bound_scalar(prm, ell, w_l, p_and)
+            wf = _sia_wf_at(prm, ell, w_l, p_and, p_igej)
+            assert bound <= bound - p_igej <= wf, (ell, w_l)
+
+
+def test_sia_wf_evaluates_few_cells(monkeypatch):
+    # the bound leaves 58 of the 6765 cells of the nine instances open;
+    # this fails if the pruning is lost
+    evaluated = []
+    inner = estimator._sia_wf_at
+
+    def recording(*args):
+        evaluated.append(args[1:3])
+        return inner(*args)
+
+    monkeypatch.setattr(estimator, "_sia_wf_at", recording)
+    cells = 0
+    for prm in INSTANCES.values():
+        sia_wf(prm)
+        cells += (_SIA_MAX_COLLECTED - 1) * (prm.w - prm.z + 1)
+    assert cells == 6765
+    assert 0 < len(evaluated) < cells / 20
 
 
 @pytest.mark.parametrize("prm", REPORT_PARAMS, ids=lambda prm: prm.name)
