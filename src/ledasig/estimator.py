@@ -10,19 +10,24 @@ coincidence counting.
 Binomials of size C(~30000, ~900) appear throughout, so probabilities
 are carried as log2 values, and every log2-domain sum is a left fold of
 np.logaddexp2, np.logaddexp2.reduce: over a sequence in log2_sum, or
-along an array axis. Each quantity has one form: every hypergeometric
-parity probability is _parity_sum (one marked set) or _pair_parity_sum
-(two disjoint marked sets), every AND / XOR step is _overlap_fold,
-sia_wf is the one SIA evaluation, _stern_wf is the one quantum Stern
-cost, an array over (l, j) that quantum_stern_wf scans whole, and
-_binom_logpmfs is the one form of the lifetime scan's pair-count pmfs,
-from which their live window is read.
+along an array axis. Each quantity has one form: every binomial over an
+array is _lb_array, which maps math.lgamma once over each argument row's
+range; every hypergeometric parity probability is _parity_sum (one
+marked set) or _pair_parity_sum (two disjoint marked sets); every AND /
+XOR step applies a _fold_plan, whose pair terms and (y, x) order are
+built once per (n, w) and serve a whole chain of steps (_overlap_fold
+builds and applies one for a single step); sia_wf is the one SIA
+evaluation; _stern_wf is the one quantum Stern cost, an array over
+(l, j) that quantum_stern_wf scans whole; and _binom_logpmfs is the one
+form of the lifetime scan's pair-count pmfs, from which their live
+window is read.
 
 Work that cannot change a reported float is skipped, never approximated:
 sia_wf evaluates only the (L, w_L) cells whose float-safe lower bound
 lies below the best work factor so far, lca_wf folds only the weights
-that a later XOR step reads, and quantum_stern_wf evaluates only the rows
-and columns its grown box gained.
+that a later XOR step reads, quantum_stern_wf evaluates only the rows
+and columns its grown box gained, and _coincidence_separation takes its
+background tail only where the row maximum's pmf is nonzero.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -54,21 +60,33 @@ def _lb(n: float, k: float) -> float:
 
 
 def _lb_array(n, k) -> np.ndarray:
-    """_lb over broadcast integer arrays, bit for bit.
+    """_lb over broadcast integer arrays, bit for bit; n may also be a
+    whole number plus one half, as in _stern_wf.
 
-    math.lgamma is mapped over the distinct arguments: scipy's gammaln
-    rounds differently on about half the integers in range, which would
-    move the reported work factors in their last bits.
+    math.lgamma is mapped over each argument row's range (_lgamma_range):
+    scipy's gammaln rounds differently on about half the integers in
+    range, which would move the reported work factors in their last bits.
     """
     n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k))
     out = np.full(n.shape, NEG_INF)
     ok = (k >= 0) & (n >= 0) & (k <= n)
-    n, k = n[ok], k[ok]
-    args, inverse = np.unique(np.stack((n + 1, k + 1, n - k + 1)),
-                              return_inverse=True)
-    lg = _map(math.lgamma, args)[inverse].reshape(3, -1)
-    out[ok] = (lg[0] - lg[1] - lg[2]) / LN2
+    if ok.any():
+        n, k = n[ok], k[ok]
+        lg_n, lg_k, lg_rest = map(_lgamma_range, (n + 1, k + 1, n - k + 1))
+        out[ok] = (lg_n - lg_k - lg_rest) / LN2
     return out
+
+
+def _lgamma_range(a: np.ndarray) -> np.ndarray:
+    """math.lgamma at each entry of a, whose entries lie whole numbers
+    apart: mapped once over a.min()..a.max(), then read back by offset.
+    The same values reach math.lgamma as entry by entry, so the same bits
+    come out, and no sort is needed."""
+    lo = a.min()
+    offsets = (a - lo).astype(np.intp)
+    if a.dtype.kind == "f" and not np.array_equal(offsets, a - lo):
+        raise ValueError("lgamma arguments must lie whole numbers apart")
+    return _map(math.lgamma, np.arange(lo, a.max() + 1))[offsets]
 
 
 def _map(f, a) -> np.ndarray:
@@ -89,25 +107,62 @@ def log2_sum(values) -> float:
 # AND / XOR weight distributions of independent fixed-weight vectors
 
 
+class _FoldPlan(NamedTuple):
+    """The terms of combining one more independent weight-w vector with any
+    weight distribution over 0..x_max (_fold_plan), in (y, x) order."""
+
+    x_max: int
+    x: np.ndarray        # each term's input weight
+    pair: np.ndarray     # its pair term lb(x, i) + lb(n - x, w - i) - lb(n, w)
+    y: np.ndarray        # each y group's output weight ...
+    starts: np.ndarray   # ... and the index of its first term
+
+    def fold(self, dist: np.ndarray, size: int) -> np.ndarray:
+        """The distribution after the step, over weights 0..size-1, from
+        dist, whose weights above x_max must be -inf: one gather, one add
+        and one reduceat, which folds each y's terms in increasing x.
+
+        Terms at a dead x are -inf, and logaddexp2(a, -inf) is a and
+        logaddexp2(-inf, t) is t exactly, so each y sums its live terms
+        bit for bit as a per-x loop does. The groups with y < size are a
+        prefix of the (y, x) order."""
+        if len(dist) <= self.x_max:
+            dist = np.concatenate(
+                (dist, np.full(self.x_max + 1 - len(dist), NEG_INF)))
+        groups = int(np.searchsorted(self.y, size))
+        end = self.starts[groups] if groups < len(self.y) else len(self.x)
+        terms = dist[self.x[:end]] + self.pair[:end]
+        new = np.full(size, NEG_INF)
+        new[self.y[:groups]] = np.logaddexp2.reduceat(
+            terms, self.starts[:groups])
+        return new
+
+
+def _fold_plan(n: int, w: int, x_max: int, xor: bool = False) -> _FoldPlan:
+    """The _FoldPlan of one AND (xor=False) or XOR step with a weight-w
+    vector of length n. A weight-x vector overlapping the new one in i
+    positions gives y = x + w - 2i under XOR and i under AND; the feasible
+    (x, i), x <= x_max, are sorted by (y, x) once, and the pair terms
+    depend on (n, w, x, i) only."""
+    x, i = np.broadcast_arrays(np.arange(x_max + 1)[:, None], np.arange(w + 1))
+    y = x + w - 2 * i if xor else i
+    live = (i >= x + w - n) & (i <= x)
+    x, i, y = x[live], i[live], y[live]
+    order = np.lexsort((x, y))
+    x, i, y = x[order], i[order], y[order]
+    pair = _lb_array(x, i) + _lb_array(n - x, w - i) - _lb(n, w)
+    starts = np.flatnonzero(np.diff(y, prepend=-1))
+    return _FoldPlan(x_max, x, pair, y[starts], starts)
+
+
 def _overlap_fold(n: int, dist: np.ndarray, w: int, size: int,
                   xor: bool = False) -> np.ndarray:
     """Combine one more independent weight-w vector with a weight
-    distribution, into weights 0..size-1. A weight-x vector overlapping the
-    new one in i positions gives y = x + w - 2i under XOR and i under AND;
-    the live (x, i) terms with y < size are sorted by (y, x), and one
-    reduceat folds each y's terms in increasing x, as a per-x loop does."""
-    x, i = np.broadcast_arrays(np.flatnonzero(dist != NEG_INF)[:, None],
-                               np.arange(w + 1))
-    y = x + w - 2 * i if xor else i
-    live = (i >= x + w - n) & (i <= x) & (y < size)
-    x, i, y = x[live], i[live], y[live]
-    pair = _lb_array(x, i) + _lb_array(n - x, w - i) - _lb(n, w)
-    order = np.lexsort((x, y))
-    terms, y = (dist[x] + pair)[order], y[order]
-    starts = np.flatnonzero(np.diff(y, prepend=-1))
-    new = np.full(size, NEG_INF)
-    new[y[starts]] = np.logaddexp2.reduceat(terms, starts)
-    return new
+    distribution, into weights 0..size-1: the _fold_plan up to dist's last
+    live weight, built and applied once."""
+    live = np.flatnonzero(dist != NEG_INF)
+    x_max = int(live[-1]) if live.size else -1
+    return _fold_plan(n, w, x_max, xor).fold(dist, size)
 
 
 def and_weight_dist(n: int, weights) -> np.ndarray:
@@ -121,11 +176,15 @@ def and_weight_dist(n: int, weights) -> np.ndarray:
 
 
 @_cache
-def _iterated_and_dist(n: int, w: int, count: int) -> np.ndarray:
-    """and_weight_dist(n, [w] * count), one step on from count - 1."""
-    if count == 1:
-        return and_weight_dist(n, [w])
-    return _overlap_fold(n, _iterated_and_dist(n, w, count - 1), w, w + 1)
+def _iterated_and_dist(n: int, w: int) -> np.ndarray:
+    """Row count - 1 is and_weight_dist(n, [w] * count), for count = 1 ..
+    _SIA_MAX_COLLECTED: every step applies one _fold_plan."""
+    plan = _fold_plan(n, w, w)
+    chain = np.full((_SIA_MAX_COLLECTED, w + 1), NEG_INF)
+    chain[0, w] = 0.0
+    for count in range(1, _SIA_MAX_COLLECTED):
+        chain[count] = plan.fold(chain[count - 1], w + 1)
+    return chain
 
 
 def xor_weight_dist(n: int, weights) -> np.ndarray:
@@ -323,19 +382,25 @@ def lca_wf(params: SysParams) -> LcaEstimate:
     (_LCA_MAX_COMBINATIONS - ell + 1) * w and information weights up to
     (_LCA_MAX_COMBINATIONS - ell + 1) * m_g: every weight a later step reads
     is folded from the same terms, in the same order, as over 0..r (0..k).
+    No step reads a syndrome weight above min(r, 7w) or an information
+    weight above min(k, 7 m_g) (for 8 combinations), so each side builds
+    one _fold_plan up to there and applies it at every step, starting
+    from the one-hot distribution of a single vector over 0..w (0..m_g).
     """
     w, r, k, m_g = params.w, params.r, params.k, params.m_g
     w_sigma = (params.w + params.w_c) * params.m_S
     best, best_l = math.inf, 2
+    reach = _LCA_MAX_COMBINATIONS - 1
+    syndrome_plan = _fold_plan(r, w, min(r, reach * w), xor=True)
+    info_plan = _fold_plan(k, m_g, min(k, reach * m_g), xor=True)
     # XOR distributions of ell syndromes and of ell information words,
     # extended by one vector per ell
-    syndrome, info = xor_weight_dist(r, [w]), xor_weight_dist(k, [m_g])
+    syndrome, info = np.full(w + 1, NEG_INF), np.full(m_g + 1, NEG_INF)
+    syndrome[w], info[m_g] = 0.0, 0.0
     for ell in range(2, _LCA_MAX_COMBINATIONS + 1):
         steps_left = _LCA_MAX_COMBINATIONS - ell + 1
-        syndrome = _overlap_fold(r, syndrome, w, min(r, steps_left * w) + 1,
-                                 xor=True)
-        info = _overlap_fold(k, info, m_g, min(k, steps_left * m_g) + 1,
-                             xor=True)
+        syndrome = syndrome_plan.fold(syndrome, min(r, steps_left * w) + 1)
+        info = info_plan.fold(info, min(k, steps_left * m_g) + 1)
         p_syndrome = float(syndrome[w])
         p_info = log2_sum(info[:m_g + 1])
         if p_syndrome == NEG_INF or p_info == NEG_INF:
@@ -430,7 +495,7 @@ def _p_i_ge_j(n: int, ell: int, wlw, p_i, p_j):
 
 def p_and_intersection(params: SysParams, ell: int, w_l: int) -> float:
     """log2 P[wt(AND of ell weight-w syndromes) = w_l]."""
-    dist = _iterated_and_dist(params.r, params.w, ell)
+    dist = _iterated_and_dist(params.r, params.w)[ell - 1]
     return float(dist[w_l]) if w_l < len(dist) else NEG_INF
 
 
@@ -476,9 +541,10 @@ def sia_wf(params: SysParams) -> SiaEstimate:
     _, p_i, _, p_j = np.array([_bit_probabilities(params, w_l, rows)
                                for w_l in w_ls.tolist()]).T
     lb_r, lb_w = _lb_array(r, w_ls), _lb_array(w, w_ls)
+    and_chain = _iterated_and_dist(r, w)
     best = (math.inf, 2, params.z)
     for ell in range(2, _SIA_MAX_COLLECTED + 1):
-        p_and = _iterated_and_dist(r, w, ell)[w_ls]
+        p_and = and_chain[ell - 1][w_ls]
         c_ij = _map(math.log2, (ell - 1) * n * math.ceil(math.log2(ell))
                     + wlw * r)
         c_s1 = math.log2((ell - 1) * w)
@@ -623,14 +689,20 @@ def _coincidence_separation(params: SysParams, collected: int,
     pmf_max = np.exp(m2 * cdf1_incl) * (-np.expm1(
         np.where(delta == -np.inf, -np.inf, m2 * delta)))
 
-    # log P[X0 >= x], from the window's hi down
-    tail0 = np.logaddexp.accumulate(logpmf0[::-1])[::-1]
+    # log P[X0 >= x], from the window's hi down to the first x at which
+    # pmf_max is nonzero: below it, a factor of 0.0 keeps each product the
+    # zero of pmf_max's sign, as the factors in [0, 1] there would, and
+    # both sums keep the window's length and grouping
+    first = int(np.argmax(pmf_max != 0.0))
+    tail0 = np.logaddexp.accumulate(logpmf0[first:][::-1])[::-1]
     tail0 = np.minimum(tail0, 0.0)
     with np.errstate(divide="ignore"):
         log_rho_prime = np.log1p(-np.exp(tail0))     # log P[X0 < x]
     exponent = n_bg * log_rho_prime
-    below_all = np.exp(exponent)                  # rho** per threshold
-    above_some = -np.expm1(exponent)
+    below_all = np.zeros_like(pmf_max)            # rho** per threshold
+    above_some = np.zeros_like(pmf_max)
+    below_all[first:] = np.exp(exponent)
+    above_some[first:] = -np.expm1(exponent)
 
     q_v = float(np.sum(pmf_max * above_some))
     rho_v = float(np.sum(pmf_max * below_all))

@@ -157,9 +157,11 @@ def test_xor_dist_a3_syndromes_equal_scalar_loop():
 
 
 def test_iterated_and_dist_equals_scalar_fold():
+    chain = _iterated_and_dist(A3.r, A3.w)
+    assert len(chain) == 16
     for count in range(1, 17):
         assert np.array_equal(
-            _iterated_and_dist(A3.r, A3.w, count),
+            chain[count - 1],
             and_weight_dist_loop(A3.r, [A3.w] * count)), count
 
 

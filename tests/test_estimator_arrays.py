@@ -15,8 +15,9 @@ from helpers import (REPORT_PARAMS, and_step_loop, lca_wf_scalar,
                      xor_step_loop)
 from ledasig import estimator
 from ledasig.estimator import (NEG_INF, _SIA_MAX_COLLECTED, _bit_probabilities,
-                               _codeword_row_parities, _overlap_fold,
-                               _p_i_ge_j, _sia_wf_at, lca_wf, log2_sum,
+                               _codeword_row_parities, _fold_plan, _lb,
+                               _lb_array, _overlap_fold, _p_i_ge_j,
+                               _sia_wf_at, full_report, lca_wf, log2_sum,
                                p_and_intersection, sia_wf, xor_weight_dist)
 from ledasig.params import INSTANCES
 
@@ -68,6 +69,67 @@ def test_and_fold_equals_per_x_loop(data):
     dist = _log2_dist(data.draw, size)
     assert np.array_equal(_overlap_fold(n, dist, w, min(size, keep)),
                           and_step_loop(n, dist, w, keep))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fold_plan_over_a_chain_equals_fold_and_loop(data):
+    # one plan, built once for input weights up to x_max, serves every step
+    # of a chain whose distributions are shorter than x_max + 1 or have -inf
+    # holes anywhere, as in lca_wf and _iterated_and_dist
+    n = data.draw(st.integers(1, 120))
+    w = data.draw(st.integers(0, n))
+    xor = data.draw(st.booleans())
+    x_max = data.draw(st.integers(0, n))
+    plan = _fold_plan(n, w, x_max, xor)
+    dist = _log2_dist(data.draw, data.draw(st.integers(1, x_max + 1)))
+    for step in range(data.draw(st.integers(1, 4))):
+        size = data.draw(st.integers(1, x_max + 1 if xor else len(dist)))
+        got = plan.fold(dist, size)
+        assert np.array_equal(got, _overlap_fold(n, dist, w, size, xor)), step
+        want = (xor_step_loop(n, dist, w)[:size] if xor
+                else and_step_loop(n, dist, w, size))
+        assert np.array_equal(got, want), step
+        dead = data.draw(st.lists(st.booleans(), min_size=size,
+                                  max_size=size))
+        dist = np.where(dead, NEG_INF, got)
+
+
+def test_lb_array_on_half_integers_matches_scalar():
+    # _stern_wf's C(k/2, j): n a whole number plus one half
+    rng = np.random.default_rng(11)
+    j = np.arange(-2, 45)
+    for k in (1, 2, 17, 480634, 914453, *rng.integers(0, 10**6, 20).tolist()):
+        assert np.array_equal(_lb_array(k / 2.0, j),
+                              [_lb(k / 2.0, int(i)) for i in j]), k
+    grid = _lb_array(np.arange(1, 40, 2)[:, None] / 2.0, j)
+    assert np.array_equal(grid, [[_lb(a / 2.0, int(i)) for i in j]
+                                 for a in range(1, 40, 2)])
+
+
+def test_lb_array_refuses_arguments_off_one_grid():
+    # the lgamma of a row is read at whole-number offsets from its least
+    # entry; a row mixing whole and half numbers would be misread
+    with pytest.raises(ValueError, match="whole numbers apart"):
+        _lb_array(np.array([3.0, 3.5]), 1)
+
+
+def test_estimate_round_makes_few_lb_array_calls(monkeypatch):
+    # one fold plan per (n, w): the nine reports make 443 _lb_array calls
+    # from a cold cache, 911 when every fold step rebuilt its pair terms;
+    # this fails if the plans are lost
+    calls = []
+    inner = estimator._lb_array
+
+    def counting(n, k):
+        calls.append(None)
+        return inner(n, k)
+
+    monkeypatch.setattr(estimator, "_lb_array", counting)
+    estimator._iterated_and_dist.cache_clear()
+    for prm in INSTANCES.values():
+        full_report(prm)
+    assert len(calls) <= 500
 
 
 # bit probabilities with their degenerate ends, where a log2 is -inf
