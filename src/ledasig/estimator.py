@@ -15,19 +15,22 @@ array is _lb_array, which maps math.lgamma once over each argument row's
 range; every hypergeometric parity probability is _parity_sum (one
 marked set) or _pair_parity_sum (two disjoint marked sets); every AND /
 XOR step applies a _fold_plan, whose pair terms and (y, x) order are
-built once per (n, w) and serve a whole chain of steps (_overlap_fold
-builds and applies one for a single step); sia_wf is the one SIA
-evaluation; _stern_wf is the one quantum Stern cost, an array over
-(l, j) that quantum_stern_wf scans whole; and _binom_logpmfs is the one
-form of the lifetime scan's pair-count pmfs, from which their live
+built once per (n, w) and serve a whole chain of steps; sia_wf is the
+one SIA evaluation; _stern_wf is the one quantum Stern cost, an array
+over (l, j) that quantum_stern_wf scans whole; and _binom_logpmfs is the
+one form of the lifetime scan's pair-count pmfs, from which their live
 window is read.
 
-Work that cannot change a reported float is skipped, never approximated:
-sia_wf evaluates only the (L, w_L) cells whose float-safe lower bound
-lies below the best work factor so far, lca_wf folds only the weights
-that a later XOR step reads, quantum_stern_wf evaluates only the rows
-and columns its grown box gained, and _coincidence_separation takes its
-background tail only where the row maximum's pmf is nonzero.
+Work that cannot change a reported float is skipped: sia_wf evaluates
+only the (L, w_L) cells whose float-safe lower bound lies below the best
+work factor so far, lca_wf folds only the weights that a later XOR step
+reads, quantum_stern_wf evaluates only the rows and columns its grown
+box gained, and _coincidence_separation takes its background tail only
+where the row maximum's pmf is nonzero. One quantity the report never
+shows is approximated within a stated budget: the lifetime scan's
+(q_v, rho_v) are summed only where a pair-count pmf is at least e^-100.
+They move by at most 4.3e-16 relative, and no lifetime moves
+(_LOG_PMF_CUT).
 """
 
 from __future__ import annotations
@@ -81,7 +84,13 @@ def _lgamma_range(a: np.ndarray) -> np.ndarray:
     """math.lgamma at each entry of a, whose entries lie whole numbers
     apart: mapped once over a.min()..a.max(), then read back by offset.
     The same values reach math.lgamma as entry by entry, so the same bits
-    come out, and no sort is needed."""
+    come out, and no sort is needed.
+
+    The cost follows the range, not the size: a.max() - a.min() + 1 calls
+    of math.lgamma, about 0.13 us each, and a list that long. A row of
+    scattered large arguments pays for every value between them (600
+    random ones up to 914,453 take about 0.5 s). The nine reports' 1,329
+    rows span at most 505 values, 54,459 in all for 1,516,644 entries."""
     lo = a.min()
     offsets = (a - lo).astype(np.intp)
     if a.dtype.kind == "f" and not np.array_equal(offsets, a - lo):
@@ -155,29 +164,10 @@ def _fold_plan(n: int, w: int, x_max: int, xor: bool = False) -> _FoldPlan:
     return _FoldPlan(x_max, x, pair, y[starts], starts)
 
 
-def _overlap_fold(n: int, dist: np.ndarray, w: int, size: int,
-                  xor: bool = False) -> np.ndarray:
-    """Combine one more independent weight-w vector with a weight
-    distribution, into weights 0..size-1: the _fold_plan up to dist's last
-    live weight, built and applied once."""
-    live = np.flatnonzero(dist != NEG_INF)
-    x_max = int(live[-1]) if live.size else -1
-    return _fold_plan(n, w, x_max, xor).fold(dist, size)
-
-
-def and_weight_dist(n: int, weights) -> np.ndarray:
-    """log2 distribution of wt(v1 & ... & vm) for independent vectors."""
-    weights = list(weights)
-    dist = np.full(weights[0] + 1, NEG_INF)
-    dist[weights[0]] = 0.0
-    for w in weights[1:]:
-        dist = _overlap_fold(n, dist, w, min(weights) + 1)
-    return dist
-
-
 @_cache
 def _iterated_and_dist(n: int, w: int) -> np.ndarray:
-    """Row count - 1 is and_weight_dist(n, [w] * count), for count = 1 ..
+    """Row count - 1 is the log2 distribution of wt(v1 & ... & v_count)
+    for count independent weight-w vectors of length n, count = 1 ..
     _SIA_MAX_COLLECTED: every step applies one _fold_plan."""
     plan = _fold_plan(n, w, w)
     chain = np.full((_SIA_MAX_COLLECTED, w + 1), NEG_INF)
@@ -185,16 +175,6 @@ def _iterated_and_dist(n: int, w: int) -> np.ndarray:
     for count in range(1, _SIA_MAX_COLLECTED):
         chain[count] = plan.fold(chain[count - 1], w + 1)
     return chain
-
-
-def xor_weight_dist(n: int, weights) -> np.ndarray:
-    """log2 distribution of wt(v1 ^ ... ^ vm) over 0..n."""
-    weights = list(weights)
-    dist = np.full(n + 1, NEG_INF)
-    dist[weights[0]] = 0.0
-    for w in weights[1:]:
-        dist = _overlap_fold(n, dist, w, n + 1, xor=True)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +608,18 @@ def _pair_coincidence_probs(params: SysParams) -> tuple[float, float]:
     return rho1, rho0
 
 
-# Natural-log pmf values below this cut lie outside the live window: float64
-# exp underflows to 0 below about -745, so their terms are exact zeros in
-# every sum _coincidence_separation takes.
-_LOG_PMF_CUT = -1000.0
+# Natural-log pmf values below this cut lie outside the live window. This
+# is an error budget, not an underflow bound: the mass left out of every
+# sum _coincidence_separation takes is at most (N + 1) e^-100 per pmf, so
+# (q_v, rho_v) move by at most about (2 m2 + n_bg)(N + 1) e^-100 < 2e-26,
+# while within 20 bits of -lambda the one the cover formula reads is
+# 1.5e-4 or more. Measured against a cut of -1000, below which every term
+# is an exact float64 zero, at the 328 probes of the nine instances'
+# scans: (q_v, rho_v) moved by at most 4.3e-16 relative (np.sum's
+# grouping), the cover exponents by at most 3.7e-9 bits, the probe
+# nearest -lambda lies 2.6e-5 bits from it, and no decision moved.
+# A cut of -40 moved an exponent by 0.58 bits (docs/decisions.md).
+_LOG_PMF_CUT = -100.0
 
 
 def _binom_logpmfs(count: int, probs) -> tuple[int, int, list[np.ndarray]]:
@@ -670,9 +658,12 @@ def _coincidence_separation(params: SysParams, collected: int,
     of the scrambler beats every background pair count, given the pair
     probabilities `rhos` of _pair_coincidence_probs.
 
-    Both sums run over the live window of the two pair-count pmfs only:
-    every term outside it is an exact 0.0 in float64, so the results
-    differ from full-range sums by the pairwise grouping of np.sum alone.
+    Both sums run over the live window of the two pair-count pmfs only.
+    The terms outside it are not exact zeros but the pmfs' mass below
+    e^-100, under 2e-26 in absolute terms on the nine instances
+    (_LOG_PMF_CUT); the results differ from full-range sums mostly by the
+    pairwise grouping of np.sum, at most 4.3e-16 relative at the scans'
+    probes.
     """
     n = params.n
     m2 = params.m_S * (params.m_S - 1) // 2

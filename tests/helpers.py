@@ -7,20 +7,23 @@ packed in ints), the polynomial and quasi-cyclic products, the inverse
 application procedures for S and Q, and the generalized permutations
 Pi_Lambda, Pi_Phi and M built from the raw key factors live here because
 only tests use them; they check the package's composed (blocks, rots)
-tables independently.  So do the scalar AND / XOR weight-distribution
-loops and per-x steps that the estimator's sorted reduceat fold must
-reproduce bit for bit; the written-out parity-sum loops, the SIA count
-tails, the one-point _p_i_ge_j and the scalar sia_wf and lca_wf built
-from these loops, which its array forms must reproduce bit for bit, and
-the one-point form of sia_wf's lower bound on a cell's work factor; and
-the full-range coincidence separation that its live-window sums must
-reproduce; and the per-point Stern cost with its coarse grid and hill
-climb, whose answers the exhaustive (l, j) scan must reproduce.  So do
-the one-draw-at-a-time samplers and factor generators that the batched
-Xof.below_each, gen_v, gen_s and gen_q must match byte for byte, the
-constant-weight encoding with its own swap loop that signer.cw_encode
-must match, and a salt search that hashes the whole message on every
-trial.
+tables independently.  So do the AND / XOR weight distributions that
+apply the estimator's _fold_plan one step at a time (overlap_fold,
+and_weight_dist, xor_weight_dist), which the exhaustive enumerations
+check and through which the plan is tested; the scalar AND / XOR
+weight-distribution loops and per-x steps that the estimator's sorted
+reduceat fold must reproduce bit for bit; the written-out parity-sum
+loops, the SIA count tails, the one-point _p_i_ge_j and the scalar
+sia_wf and lca_wf built from these loops, which its array forms must
+reproduce bit for bit, and the one-point form of sia_wf's lower bound on
+a cell's work factor; and the full-range coincidence separation that its
+live-window sums must reproduce; and the per-point Stern cost with its
+coarse grid and hill climb, whose answers the exhaustive (l, j) scan
+must reproduce.  So do the one-draw-at-a-time samplers and factor
+generators that the batched Xof.below_each, gen_v, gen_s and gen_q must
+match byte for byte, the constant-weight encoding with its own swap loop
+that signer.cw_encode must match, and a salt search that hashes the
+whole message on every trial.
 """
 
 import hashlib
@@ -37,8 +40,9 @@ from ledasig.estimator import (LN2, NEG_INF, SiaEstimate, LcaEstimate,
                                SternParams, _GROVER_PREFACTOR_LOG2,
                                _LCA_MAX_COMBINATIONS, _P_INV_LOG2,
                                _SIA_MAX_COLLECTED, _bit_probabilities,
-                               _codeword_row_parities, _lb, _safe_log2,
-                               _sia_wf_at, _speedup_log2, log2_sum)
+                               _codeword_row_parities, _fold_plan, _lb,
+                               _safe_log2, _sia_wf_at, _speedup_log2,
+                               log2_sum)
 from ledasig.errors import NotInvertible, Singular
 from ledasig.keygen import (PrivateKey, QFactors, SFactors, compute_d, gen_q,
                             gen_s, gen_v, q_correction_mask, sort_v_rows)
@@ -751,6 +755,40 @@ def xor_weight_dist_loop(n: int, weights) -> np.ndarray:
             live = np.flatnonzero(pair != NEG_INF)
             new[live] = np.logaddexp2(new[live], dist[x] + pair[live])
         dist = new
+    return dist
+
+
+# ---------------------------------------------------------------------------
+# weight distributions from one fold plan per step
+
+
+def overlap_fold(n: int, dist: np.ndarray, w: int, size: int,
+                 xor: bool = False) -> np.ndarray:
+    """Combine one more independent weight-w vector with a weight
+    distribution, into weights 0..size-1: the estimator's _fold_plan up to
+    dist's last live weight, built and applied once."""
+    live = np.flatnonzero(dist != NEG_INF)
+    x_max = int(live[-1]) if live.size else -1
+    return _fold_plan(n, w, x_max, xor).fold(dist, size)
+
+
+def and_weight_dist(n: int, weights) -> np.ndarray:
+    """log2 distribution of wt(v1 & ... & vm) for independent vectors."""
+    weights = list(weights)
+    dist = np.full(weights[0] + 1, NEG_INF)
+    dist[weights[0]] = 0.0
+    for w in weights[1:]:
+        dist = overlap_fold(n, dist, w, min(weights) + 1)
+    return dist
+
+
+def xor_weight_dist(n: int, weights) -> np.ndarray:
+    """log2 distribution of wt(v1 ^ ... ^ vm) over 0..n."""
+    weights = list(weights)
+    dist = np.full(n + 1, NEG_INF)
+    dist[weights[0]] = 0.0
+    for w in weights[1:]:
+        dist = overlap_fold(n, dist, w, n + 1, xor=True)
     return dist
 
 

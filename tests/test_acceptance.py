@@ -21,16 +21,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (REFERENCE_KIB, QcMatrix, dense_eye, dense_mul,
-                     dense_vec_mul, q_dense, q_inv_dense, qc_mul, qc_vec_mul,
-                     s_dense, s_inv_dense, sparse_from_int)
+from helpers import (REFERENCE_KIB, QcMatrix, and_weight_dist, dense_eye,
+                     dense_mul, dense_vec_mul, q_dense, q_inv_dense, qc_mul,
+                     qc_vec_mul, s_dense, s_inv_dense, sparse_from_int,
+                     xor_weight_dist)
 from ledasig import (INSTANCES, encode_private_key_at_rest,
                      encode_public_key, encode_signature, get_instance,
                      keypair_from_seed, private_key_at_rest_bytes,
                      public_key_bytes, signature_bytes, toy_params, verify)
 from ledasig.drbg import Xof
-from ledasig.estimator import (and_weight_dist, full_report,
-                               signature_bit_probability, xor_weight_dist)
+from ledasig.estimator import full_report, signature_bit_probability
 from ledasig.keygen import PrivateKey, gen_q, gen_s, gen_v
 from ledasig.qc import PackedVector, SparseVector
 from ledasig.signer import Signature, cw_encode, kernel_check, sign

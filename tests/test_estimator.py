@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (REPORT_PARAMS, SIATOY, and_weight_dist_loop,
-                     binom_logpmfs_full, coincidence_separation_full,
-                     count_tails, p_i_ge_j_scalar,
-                     pair_coincidence_probs_loops, quantum_stern_wf_climb,
-                     sia_bound_scalar, signature_bit_probability_loop,
-                     stern_wf_scalar, xor_weight_dist_loop)
+from helpers import (REPORT_PARAMS, SIATOY, and_weight_dist,
+                     and_weight_dist_loop, binom_logpmfs_full,
+                     coincidence_separation_full, count_tails,
+                     p_i_ge_j_scalar, pair_coincidence_probs_loops,
+                     quantum_stern_wf_climb, sia_bound_scalar,
+                     signature_bit_probability_loop, stern_wf_scalar,
+                     xor_weight_dist, xor_weight_dist_loop)
 from ledasig import estimator, toy_params
-from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
+from ledasig.estimator import (IsdTarget, SternParams, bjmm_approx_wf,
                                decoding_attack_target, full_report,
                                key_recovery_target,
                                lca_wf, log2_sum, p_and_intersection,
@@ -23,7 +24,7 @@ from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                sia_wf, signature_bit_probability,
                                signature_space,
                                stat_lifetime,
-                               unique_decoding_radius, xor_weight_dist,
+                               unique_decoding_radius,
                                _bit_probabilities, _codeword_row_parities,
                                _iterated_and_dist, _lb, _lb_array,
                                _p_i_ge_j, _sia_wf_at,
@@ -31,6 +32,7 @@ from ledasig.estimator import (IsdTarget, and_weight_dist, bjmm_approx_wf,
                                _P_INV_LOG2,
                                _LOG_PMF_CUT, _binom_logpmfs,
                                _coincidence_separation,
+                               _log2_graph_cover_prob,
                                _pair_coincidence_probs,
                                _scan_max_count)
 from ledasig.params import INSTANCES, get_instance
@@ -308,6 +310,21 @@ def test_stern_box_strips_equal_the_whole_box(monkeypatch, target):
 
 
 @pytest.mark.parametrize("target", [
+    target(get_instance(name)) for name in ("a3", "gamma3")
+    for target in (decoding_attack_target, key_recovery_target)],
+    ids=lambda t: f"{t.n}-{t.w_target}")
+def test_stern_scan_finds_no_lower_basin_in_a_large_box(target):
+    # quantum_stern_wf grows its box only while the minimum lies on an
+    # edge, so it cannot see a separate, lower basin; on these targets the
+    # exhaustive minimum over l <= 3000, j <= 200 is its answer
+    n, k, w = target.n, target.k, target.w_target
+    box = _stern_wf(n, k, w, np.arange(3001), np.arange(201)[:, None])
+    j, l = np.unravel_index(np.argmin(box), box.shape)
+    wf = float(box[j, l]) - estimator._speedup_log2(target)
+    assert quantum_stern_wf(target) == (wf, SternParams(int(l), int(j)))
+
+
+@pytest.mark.parametrize("target", [
     decoding_attack_target(A3), key_recovery_target(get_instance("gamma3")),
     decoding_attack_target(toy_params("toy29")), IsdTarget(1000, 500, 20),
     IsdTarget(80174, 11427, 68711)], ids=lambda t: f"{t.n}-{t.w_target}")
@@ -507,12 +524,41 @@ def test_separation_window_matches_full_range_gamma3(collected):
 
 @pytest.mark.parametrize("name", ["a3", "b6", "gamma3"])
 def test_separation_window_covering_everything_is_bit_equal(name):
+    # the window is the whole range 0..N for N = 1 up to the first N at
+    # which a pmf end falls below the cut (36 for a3 at -100 nats)
     prm = get_instance(name)
     rhos = _pair_coincidence_probs(prm)
-    for collected in range(1, 65):
-        assert _binom_logpmfs(collected, rhos)[:2] == (0, collected)
+    covered = list(itertools.takewhile(
+        lambda n: _binom_logpmfs(n, rhos)[:2] == (0, n), itertools.count(1)))
+    assert covered
+    for collected in covered:
         assert (_coincidence_separation(prm, collected, rhos)
                 == coincidence_separation_full(prm, collected, rhos))
+
+
+# below this natural-log cut every pmf term is an exact float64 zero in
+# the separation's sums
+REFERENCE_CUT = -1000.0
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_trimmed_window_keeps_every_scan_decision(monkeypatch, name):
+    # at every N that the plain and quasi-cyclic scans probe, both cover
+    # exponents lie on the same side of -lambda as with the reference cut
+    # and within 1e-7 bits of it (3.7e-9 at most on the nine instances)
+    prm = get_instance(name)
+    lam = prm.security_level
+    rhos = _pair_coincidence_probs(prm)
+    probes = _lifetime_probes(monkeypatch, prm)
+    trimmed = [_coincidence_separation(prm, n, rhos) for n in probes]
+    monkeypatch.setattr(estimator, "_LOG_PMF_CUT", REFERENCE_CUT)
+    for collected, separation in zip(probes, trimmed):
+        reference = _coincidence_separation(prm, collected, rhos)
+        for qc in (False, True):
+            got = _log2_graph_cover_prob(prm, separation, qc)
+            want = _log2_graph_cover_prob(prm, reference, qc)
+            assert (got < -lam) == (want < -lam), (collected, qc)
+            assert got == want or abs(got - want) <= 1e-7, (collected, qc)
 
 
 def test_scan_max_count_rejects_a_falling_probe():

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (REPORT_PARAMS, and_step_loop, lca_wf_scalar,
-                     p_i_ge_j_scalar, sia_bound_scalar, sia_wf_scalar,
-                     xor_step_loop)
+                     overlap_fold, p_i_ge_j_scalar, sia_bound_scalar,
+                     sia_wf_scalar, xor_step_loop, xor_weight_dist)
 from ledasig import estimator
 from ledasig.estimator import (NEG_INF, _SIA_MAX_COLLECTED, _bit_probabilities,
                                _codeword_row_parities, _fold_plan, _lb,
-                               _lb_array, _overlap_fold, _p_i_ge_j,
-                               _sia_wf_at, full_report, lca_wf, log2_sum,
-                               p_and_intersection, sia_wf, xor_weight_dist)
+                               _lb_array, _p_i_ge_j, _sia_wf_at, full_report,
+                               lca_wf, log2_sum, p_and_intersection, sia_wf,
+                               stat_lifetime)
 from ledasig.params import INSTANCES
 
 
@@ -42,7 +42,7 @@ def test_xor_fold_equals_per_x_loop(data):
     n = data.draw(st.integers(1, 300))
     w = data.draw(st.integers(0, n))
     dist = _log2_dist(data.draw, n + 1)
-    assert np.array_equal(_overlap_fold(n, dist, w, n + 1, xor=True),
+    assert np.array_equal(overlap_fold(n, dist, w, n + 1, xor=True),
                           xor_step_loop(n, dist, w))
 
 
@@ -55,7 +55,7 @@ def test_truncated_xor_fold_equals_per_x_loop(data):
     w = data.draw(st.integers(0, n))
     size = data.draw(st.integers(1, n + 1))
     dist = _log2_dist(data.draw, n + 1)
-    assert np.array_equal(_overlap_fold(n, dist, w, size, xor=True),
+    assert np.array_equal(overlap_fold(n, dist, w, size, xor=True),
                           xor_step_loop(n, dist, w)[:size])
 
 
@@ -67,7 +67,7 @@ def test_and_fold_equals_per_x_loop(data):
     size = data.draw(st.integers(1, n + 1))
     keep = data.draw(st.integers(1, size + 3))
     dist = _log2_dist(data.draw, size)
-    assert np.array_equal(_overlap_fold(n, dist, w, min(size, keep)),
+    assert np.array_equal(overlap_fold(n, dist, w, min(size, keep)),
                           and_step_loop(n, dist, w, keep))
 
 
@@ -86,7 +86,7 @@ def test_fold_plan_over_a_chain_equals_fold_and_loop(data):
     for step in range(data.draw(st.integers(1, 4))):
         size = data.draw(st.integers(1, x_max + 1 if xor else len(dist)))
         got = plan.fold(dist, size)
-        assert np.array_equal(got, _overlap_fold(n, dist, w, size, xor)), step
+        assert np.array_equal(got, overlap_fold(n, dist, w, size, xor)), step
         want = (xor_step_loop(n, dist, w)[:size] if xor
                 else and_step_loop(n, dist, w, size))
         assert np.array_equal(got, want), step
@@ -130,6 +130,25 @@ def test_estimate_round_makes_few_lb_array_calls(monkeypatch):
     for prm in INSTANCES.values():
         full_report(prm)
     assert len(calls) <= 500
+
+
+def test_lifetime_round_keeps_its_pmf_windows_small(monkeypatch):
+    # the nine instances' lifetime scans make 328 separation calls whose
+    # pmf windows hold 501,088 entries in all at the e^-100 cut, and
+    # 1,451,074 at e^-1000; this fails if the window grows back
+    windows = []
+    inner = estimator._binom_logpmfs
+
+    def counting(count, probs):
+        lo, hi, pmfs = inner(count, probs)
+        windows.append(hi - lo + 1)
+        return lo, hi, pmfs
+
+    monkeypatch.setattr(estimator, "_binom_logpmfs", counting)
+    for prm in INSTANCES.values():
+        stat_lifetime(prm, prm.security_level)
+    assert len(windows) <= 328
+    assert sum(windows) <= 550_000
 
 
 # bit probabilities with their degenerate ends, where a log2 is -inf
@@ -220,7 +239,7 @@ def test_lca_steps_equal_per_x_loop(prm):
     for n, w in ((prm.r, prm.w), (prm.k, prm.m_g)):
         fold = loop = xor_weight_dist(n, [w])
         for ell in range(2, 9):
-            fold = _overlap_fold(n, fold, w, n + 1, xor=True)
+            fold = overlap_fold(n, fold, w, n + 1, xor=True)
             loop = xor_step_loop(n, loop, w)
             assert np.array_equal(fold, loop), (n, w, ell)
     assert lca_wf(prm) == lca_wf_scalar(prm)
